@@ -249,11 +249,15 @@ def _sim_config(opts):
 
 
 def _worker_count(requested):
-    cap = os.environ.get("HETEROTL_THREADS")
     workers = max(1, int(requested))
-    if cap is not None:
-        workers = min(workers, max(1, int(cap)))
-    return workers
+    cap = os.environ.get("HETEROTL_THREADS")
+    if cap is None:
+        return workers
+    try:
+        return min(workers, max(1, int(cap)))
+    except ValueError:
+        raise ConfigError(f"HETEROTL_THREADS must be an integer, "
+                          f"got {cap!r}") from None
 
 
 def cmd_simulate(args):

@@ -2,11 +2,13 @@
 
 The linear variant fits P minimizing ||Z - XP||_F^2 (optionally with a
 ridge shift tau on the Gram, solving (X'X + tau I) P = X'Z). The sieve
-variant expands X in the cosine tensor basis and fits each Z column by the
-l1-penalized solver. Maps from several proxies are averaged entrywise;
-sieve coefficient matrices of different truncation are first zero-padded
-in the shared deterministic index ordering. Imputation applies the fitted
-map to new matched covariates.
+variant expands X in the cosine tensor basis and fits all Z columns in
+one l1-penalized proximal-gradient (FISTA) solve; a penalized column stops
+at a relative duality gap of 1e-10, and settings.tol only bounds the
+gradient of unpenalized ones. Maps from several proxies are averaged
+entrywise; sieve coefficient matrices of different truncation are first
+zero-padded in the shared deterministic index ordering. Imputation applies
+the fitted map to new matched covariates.
 """
 
 import warnings
@@ -15,7 +17,8 @@ import numpy as np
 
 from .core import (ConfigError, ConvergenceError, DimensionError,
                    IncompatibleError, InvalidValueError, SupportError)
-from .penalized_reg import (LassoSettings, _cd_columns, _lstsq_minnorm,
+from .penalized_reg import (LassoSettings, _lstsq_minnorm,
+                            _prox_grad_columns, _top_eigenvalue,
                             cv_lambda)
 from .sieve_basis import BasisIndexSet, expand
 
@@ -138,6 +141,12 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
     c_gamma * sqrt(log M / n), or "cv" for per-column five-fold
     cross-validation. x_scale rescales X coordinatewise before expansion
     (entries of X / x_scale must lie within the basis support).
+
+    All columns run in one FISTA solve. A column with gamma > 0 stops at a
+    relative duality gap of 1e-10; one with gamma = 0 (least squares) once
+    its gradient is within settings.tol in every coordinate, the only use
+    of tol here. A column open after settings.max_iters iterations raises
+    ConvergenceError.
     """
     if proxy.z is None:
         raise IncompatibleError("proxy dataset has no mismatched block z")
@@ -161,14 +170,13 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
         if not (gamma >= 0):
             raise ConfigError(f"gamma must be >= 0, got {gamma}")
         gammas = np.full(Z.shape[1], float(gamma))
-    # the z columns share the design, so all of them run in one joint
-    # coordinate-descent pass
-    Theta, iters, converged = _cd_columns(Psi, Z, gammas, settings)
+    # the z columns share the design, so one matrix solve fits them all
+    Theta, iters, converged = _prox_grad_columns(Psi, Z, gammas, settings)
     if not converged.all():
         j = int(np.flatnonzero(~converged)[0])
         raise ConvergenceError(
             f"sieve fit did not converge for z column {j + 1} "
-            f"after {iters} sweeps")
+            f"after {iters} iterations")
     return FeatureMapModel("sieve", basis=basis, Theta=Theta,
                            x_scale=x_scale)
 
@@ -278,22 +286,7 @@ def map_discrepancy(map_a, map_b, tol=1e-10, max_iters=10000):
                 "sieve maps have mismatched basis parameters or input scale")
         M = max(map_a.Theta.shape[0], map_b.Theta.shape[0])
         delta = _pad_theta(map_a, M) - _pad_theta(map_b, M)
-    if delta.size == 0 or not np.any(delta):
-        return 0.0
     A = delta.T @ delta if delta.shape[0] >= delta.shape[1] \
         else delta @ delta.T
-    v = np.random.default_rng(0).standard_normal(A.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iters):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ (A @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        v, lam = v_new, lam_new
+    lam = _top_eigenvalue(A.__matmul__, A.shape[0], max_iters, tol)
     return float(np.sqrt(max(lam, 0.0)))

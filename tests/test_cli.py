@@ -151,6 +151,18 @@ def test_simulate_outputs_and_determinism(tmp_path, capsys):
     assert manifest["seed"] == 9
 
 
+def test_simulate_malformed_thread_cap_is_usage_error(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("HETEROTL_THREADS", "two")
+    out = tmp_path / "sim"
+    rc = cli.main(_simulate_args(str(out)))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "usage:" in err
+    assert "HETEROTL_THREADS" in err
+    assert not out.exists()
+
+
 def test_simulate_rejects_narrow_nonlinear(tmp_path, capsys):
     rc = cli.main(["simulate", "--scenario", "nonlinear", "--p1", "3",
                    "--p2", "8", "--reps", "1",

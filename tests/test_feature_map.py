@@ -8,9 +8,9 @@ from heterotl.core import (ConfigError, ConvergenceError, Dataset,
 from heterotl.feature_map import (FeatureMapModel, average_maps,
                                   fit_linear_map, fit_sieve_map, impute,
                                   map_discrepancy)
-from heterotl.penalized_reg import LassoSettings
+from heterotl.penalized_reg import LassoSettings, null_threshold, objective
 from heterotl.sieve_basis import expand, unravel
-from oracles import padded_average, spectral_norm_svd
+from oracles import padded_average, pg_lasso, spectral_norm_svd
 
 
 def _linear_proxy(seed, n=500, p1=10, p2=5, noise=0.0):
@@ -126,6 +126,24 @@ def test_sieve_map_unpenalized_matches_least_squares():
     Psi = expand(proxy.x, basis)
     ref, *_ = np.linalg.lstsq(Psi, proxy.z, rcond=None)
     assert np.max(np.abs(model.Theta - ref)) < 1e-8
+
+
+def test_sieve_map_columns_match_projected_gradient():
+    basis = unravel(2, 1, 10)
+    proxy, _ = _sieve_proxy(21, 150, basis, p2=3)
+    rng = np.random.default_rng(22)
+    proxy = Dataset(proxy.x, proxy.y,
+                    proxy.z + 0.3 * rng.standard_normal(proxy.z.shape))
+    Psi = expand(proxy.x, basis)
+    top = max(null_threshold(Psi, z) for z in proxy.z.T)
+    for gamma in (0.0, 0.05, top):
+        model = fit_sieve_map(proxy, basis, gamma=gamma)
+        for j, z in enumerate(proxy.z.T):
+            _, ref = pg_lasso(Psi, z, gamma)
+            obj = objective(Psi, z, gamma, model.Theta[:, j])
+            assert abs(obj - ref) <= 1e-9 * ref
+    # at the largest null threshold every column is exactly zero
+    assert np.array_equal(model.Theta, np.zeros((10, 3)))
 
 
 def test_sieve_map_cv_gamma_runs():

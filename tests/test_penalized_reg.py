@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heterotl import penalized_reg
 from heterotl.core import ConfigError, DimensionError
-from heterotl.penalized_reg import (LassoSettings, RankWarning, _gram_pass,
-                                    _sweep_columns, cv_lambda, default_grid,
-                                    kkt_check, lasso, lasso_with_offset,
-                                    null_threshold, objective,
-                                    offset_objective, ols, soft_threshold,
-                                    warm_start)
+from heterotl.penalized_reg import (LassoSettings, RankWarning, _gram_ok,
+                                    _gram_pass, _prox_grad_columns,
+                                    cv_lambda, default_grid, kkt_check, lasso,
+                                    lasso_with_offset, null_threshold,
+                                    objective, offset_objective, ols,
+                                    soft_threshold, warm_start)
 from oracles import pg_lasso
 
 
@@ -186,24 +187,67 @@ def test_gram_sweeps_monotone_objective():
     assert np.all(diffs <= 1e-12)
 
 
-def test_residual_sweeps_monotone_objective():
-    rng = np.random.default_rng(16)
-    n, p, L = 40, 9, 3
+def _columns_instance(seed, n, p):
+    """A design, three responses, and penalties 0, moderate, and null."""
+    rng = np.random.default_rng(seed)
     D = rng.standard_normal((n, p))
-    R = rng.standard_normal((n, L))
-    lams = np.array([0.02, 0.1, 0.5])
-    cols = np.ascontiguousarray(D.T)
-    nsq = np.einsum("ij,ij->j", D, D) / n
-    Delta = np.zeros((p, L))
-    E = R - D @ Delta
-    halves = lams / 2.0
-    prev = [objective(D, R[:, j], lams[j], Delta[:, j]) for j in range(L)]
-    for _ in range(30):
-        _sweep_columns(cols, E, Delta, nsq, halves, n, range(p),
-                       np.zeros(L))
-        cur = [objective(D, R[:, j], lams[j], Delta[:, j]) for j in range(L)]
-        assert all(c <= pv + 1e-12 for c, pv in zip(cur, prev))
-        prev = cur
+    R = D[:, :3] @ rng.standard_normal((3, 3)) \
+        + 0.5 * rng.standard_normal((n, 3))
+    lams = np.array([0.0, 0.3 * null_threshold(D, R[:, 1]),
+                     null_threshold(D, R[:, 2])])
+    return D, R, lams
+
+
+def _assert_columns_optimal(D, R, lams, Theta):
+    for j in range(R.shape[1]):
+        _, ref = pg_lasso(D, R[:, j], lams[j])
+        obj = objective(D, R[:, j], lams[j], Theta[:, j])
+        # a zero optimum (interpolation at lam = 0) has no relative scale
+        assert abs(obj - ref) <= 1e-9 * max(abs(ref), 1.0)
+    assert np.array_equal(Theta[:, 2], np.zeros(D.shape[1]))
+
+
+def test_prox_grad_columns_match_projected_gradient():
+    # one design in gram form, one too wide for it (p > 4n)
+    for seed, n, p, gram in ((16, 40, 9, True), (41, 20, 100, False)):
+        D, R, lams = _columns_instance(seed, n, p)
+        assert _gram_ok(n, p) == gram
+        Theta, it, conv = _prox_grad_columns(D, R, lams, LassoSettings())
+        assert conv.all()
+        assert 0 < it < LassoSettings().max_iters
+        _assert_columns_optimal(D, R, lams, Theta)
+
+
+def test_prox_grad_columns_recover_from_small_step_estimate(monkeypatch):
+    # a step estimate far below the curvature must be corrected, not
+    # followed into divergence
+    monkeypatch.setattr(penalized_reg, "_LIP_MARGIN", 0.05)
+    D, R, lams = _columns_instance(42, 40, 9)
+    Theta, _, conv = _prox_grad_columns(D, R, lams, LassoSettings())
+    assert conv.all()
+    _assert_columns_optimal(D, R, lams, Theta)
+
+
+def test_prox_grad_columns_cap_and_warm_start():
+    D, R, lams = _columns_instance(43, 20, 100)
+    settings = LassoSettings()
+    cold, it, _ = _prox_grad_columns(D, R, lams, settings)
+    _, _, conv = _prox_grad_columns(D, R, lams, LassoSettings(max_iters=2))
+    assert not conv[:2].any()
+    # the null column is certified at the zero start, before any step
+    assert conv[2]
+    _, warm_it, conv = _prox_grad_columns(D, R, lams, settings, cold)
+    assert conv.all()
+    assert warm_it == 0
+
+
+def test_lasso_wide_design_uses_certified_solver():
+    D, R, lams = _columns_instance(44, 20, 100)
+    delta, diag = lasso(D, R[:, 1], lams[1])
+    assert diag.converged
+    _, ref = pg_lasso(D, R[:, 1], lams[1])
+    assert abs(objective(D, R[:, 1], lams[1], delta) - ref) <= 1e-9 * ref
+    assert diag.max_kkt_violation <= 1e-6
 
 
 def test_kkt_exact_on_one_dimensional_solution():
