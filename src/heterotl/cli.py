@@ -15,17 +15,13 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
-
-import numpy as np
 
 from . import __version__
 from .core import (CapacityError, ConfigError, ConvergenceError, DataError,
-                   Dataset, DimensionError, IncompatibleError,
-                   InvalidValueError, SupportError, read_dataset_csv,
-                   read_x_csv)
-from .estimators import (_target_stage, fit_htl, load_model, predict,
+                   DimensionError, IncompatibleError, InvalidValueError,
+                   SupportError, read_dataset_csv, read_x_csv, write_atomic)
+from .estimators import (bootstrap_refit, fit_htl, load_model, predict,
                          save_model)
 from .penalized_reg import LassoSettings
 from .simulation import SimConfig, run_replications
@@ -57,7 +53,7 @@ _SIM_DEFAULTS = {
     "delta_scale": 1.0, "map_noise": 1.0, "model_noise": 1.0,
     "map_perturb": 1.0, "ridge": 0.0, "gamma": "auto", "c_gamma": 1.0,
     "p1_prime": 1, "budget": None, "d_cap": 64, "clamp_tol": 0.01,
-    "folds": 5, "tol": 1e-7, "max_iters": 3000, "workers": 1,
+    "folds": 5, "tol": 1e-7, "max_iters": 3000,
 }
 
 _BOOT_DEFAULTS = dict(_FIT_DEFAULTS, B=None, seed=0)
@@ -84,19 +80,6 @@ def _manifest(command, config, seed, input_paths, timings):
         "input_digests": {p: _sha256_file(p) for p in input_paths},
         "timings": timings,
     }
-
-
-def _write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _load_config_file(path):
@@ -212,13 +195,13 @@ def cmd_predict(args):
     X = read_x_csv(opts["data"])
     yhat = predict(model, X)
     lines = ["yhat"] + [repr(float(v)) for v in yhat]
-    _write_atomic(opts["out"], "\n".join(lines) + "\n")
+    write_atomic(opts["out"], "\n".join(lines) + "\n")
     manifest = _manifest("predict", {k: opts[k] for k in
                                      ("model", "data", "out")}, None,
                          [opts["model"], opts["data"]],
                          {"total_s": time.perf_counter() - started})
-    _write_atomic(opts["out"] + ".manifest.json",
-                  json.dumps(manifest, indent=2) + "\n")
+    write_atomic(opts["out"] + ".manifest.json",
+                 json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {opts['out']}")
     return 0
 
@@ -248,18 +231,6 @@ def _sim_config(opts):
         max_iters=int(opts["max_iters"]))
 
 
-def _worker_count(requested):
-    workers = max(1, int(requested))
-    cap = os.environ.get("HETEROTL_THREADS")
-    if cap is None:
-        return workers
-    try:
-        return min(workers, max(1, int(cap)))
-    except ValueError:
-        raise ConfigError(f"HETEROTL_THREADS must be an integer, "
-                          f"got {cap!r}") from None
-
-
 def cmd_simulate(args):
     preset = getattr(args, "preset", None) or "custom"
     if preset not in _PRESETS:
@@ -268,18 +239,17 @@ def cmd_simulate(args):
     _require(opts, ("scenario", "out"))
     config = _sim_config(opts)
     started = time.perf_counter()
-    report = run_replications(config,
-                              n_workers=_worker_count(opts["workers"]))
+    report = run_replications(config)
     elapsed = time.perf_counter() - started
     os.makedirs(opts["out"], exist_ok=True)
-    _write_atomic(os.path.join(opts["out"], "metrics.csv"),
-                  report.to_csv_text())
-    _write_atomic(os.path.join(opts["out"], "metrics.json"),
-                  json.dumps(report.to_dict(), indent=2) + "\n")
+    write_atomic(os.path.join(opts["out"], "metrics.csv"),
+                 report.to_csv_text())
+    write_atomic(os.path.join(opts["out"], "metrics.json"),
+                 json.dumps(report.to_dict(), indent=2) + "\n")
     manifest = _manifest("simulate", config.to_dict(), config.seed, [],
                          {"total_s": elapsed})
-    _write_atomic(os.path.join(opts["out"], "manifest.json"),
-                  json.dumps(manifest, indent=2) + "\n")
+    write_atomic(os.path.join(opts["out"], "manifest.json"),
+                 json.dumps(manifest, indent=2) + "\n")
     for method, stats in report.aggregates.items():
         if stats.get("n"):
             print(f"{method}: median map "
@@ -289,41 +259,6 @@ def cmd_simulate(args):
               file=sys.stderr)
     print(f"wrote {opts['out']}")
     return 0
-
-
-def bootstrap_refit(proxies, target, B, seed, sampler=None, **fit_kwargs):
-    """Resample target rows with replacement B times and refit.
-
-    The proxy side is fit once: the feature map and the reference
-    coefficients do not involve the target sample, so they stay fixed
-    across draws. Each draw refits the target stage (including lambda
-    selection under the cv policy, with the fold seed held fixed so a
-    forced identity resample reproduces the plain fit). sampler(rng, n)
-    may replace the default with-replacement row draw. Returns a (B, p)
-    matrix of coefficient vectors.
-    """
-    if B < 1:
-        raise ConfigError(f"need B >= 1 bootstrap draws, got {B}")
-    base = fit_htl(proxies, target, **fit_kwargs)
-    lam = fit_kwargs.get("lam", "cv")
-    clamp_tol = fit_kwargs.get("clamp_tol", 0.01)
-    center = fit_kwargs.get("center", False)
-    cv_folds = fit_kwargs.get("cv_folds", 5)
-    cv_seed = fit_kwargs.get("cv_seed", 0)
-    rng = np.random.default_rng(seed)
-    n = target.n
-    draws = np.empty((B, base.p1 + base.p2))
-    for b in range(B):
-        if sampler is None:
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = np.asarray(sampler(rng, n), dtype=int)
-        resampled = Dataset(target.x[idx], target.y[idx])
-        model = _target_stage(base.map, base.fit.omega_hat, resampled, lam,
-                              base.settings, clamp_tol, center, cv_folds,
-                              cv_seed)
-        draws[b] = model.fit.beta_hat
-    return draws
 
 
 def cmd_bootstrap(args):
@@ -342,13 +277,13 @@ def cmd_bootstrap(args):
         for j, value in enumerate(draws[b]):
             name = f"x{j + 1}" if j < p1 else f"z{j - p1 + 1}"
             lines.append(f"{b},{name},{repr(float(value))}")
-    _write_atomic(opts["out"], "\n".join(lines) + "\n")
+    write_atomic(opts["out"], "\n".join(lines) + "\n")
     snapshot = {k: opts[k] for k in _BOOT_DEFAULTS}
     manifest = _manifest("bootstrap", snapshot, int(opts["seed"]),
                          list(opts["proxy"]) + [opts["target"]],
                          {"total_s": time.perf_counter() - started})
-    _write_atomic(opts["out"] + ".manifest.json",
-                  json.dumps(manifest, indent=2) + "\n")
+    write_atomic(opts["out"] + ".manifest.json",
+                 json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {opts['out']}")
     return 0
 
@@ -436,7 +371,6 @@ def _build_parser():
     sim.add_argument("--folds", type=int)
     sim.add_argument("--tol", type=float)
     sim.add_argument("--max-iters", type=int)
-    sim.add_argument("--workers", type=int)
     sim.add_argument("--out", help="output directory")
     sim.add_argument("--config", help="JSON file with flag defaults")
     sim.set_defaults(func=cmd_simulate, parser=sim)

@@ -1,6 +1,9 @@
-"""Shared data model, validation, error types, and evaluation metrics."""
+"""Shared data model, validation, error types, evaluation metrics, and CSV
+and atomic file I/O."""
 
 import csv
+import os
+import tempfile
 
 import numpy as np
 
@@ -251,30 +254,21 @@ def _dataset_header(p1, p2):
     return cols
 
 
-def read_dataset_csv(path):
-    """Read a Dataset from CSV with columns x1..xP1[, z1..zP2], y.
+def _read_numeric_csv(path, parse_header):
+    """Parse a header-led numeric CSV into (layout, (n, columns) array).
 
-    UTF-8, '.' decimal separator, header required. Parse failures raise
-    DataError naming the file, row, and column.
+    parse_header(header) checks the stripped header and returns its
+    layout, raising DataError for a header it rejects. Header errors come
+    before row errors; every message names the file, and row errors name
+    the row and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        p1 = 0
-        while p1 < len(header) and header[p1] == f"x{p1 + 1}":
-            p1 += 1
-        k = p1
-        p2 = 0
-        while k < len(header) and header[k] == f"z{p2 + 1}":
-            k += 1
-            p2 += 1
-        if p1 < 1 or k >= len(header) or header[k] != "y" or k + 1 != len(header):
-            raise DataError(
-                f"{path}: header must be x1..xP1[, z1..zP2], y; got {header}")
+        layout = parse_header(header)
         rows = []
         for i, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -298,6 +292,30 @@ def read_dataset_csv(path):
         raise DataError(
             f"{path}: row {bad[0] + 2}, column {header[bad[1]]}: "
             "non-finite value")
+    return layout, data
+
+
+def read_dataset_csv(path):
+    """Read a Dataset from CSV with columns x1..xP1[, z1..zP2], y.
+
+    UTF-8, '.' decimal separator, header required. Parse failures raise
+    DataError naming the file, row, and column.
+    """
+    def parse_header(header):
+        p1 = 0
+        while p1 < len(header) and header[p1] == f"x{p1 + 1}":
+            p1 += 1
+        k = p1
+        p2 = 0
+        while k < len(header) and header[k] == f"z{p2 + 1}":
+            k += 1
+            p2 += 1
+        if p1 < 1 or k >= len(header) or header[k] != "y" or k + 1 != len(header):
+            raise DataError(
+                f"{path}: header must be x1..xP1[, z1..zP2], y; got {header}")
+        return p1, p2
+
+    (p1, p2), data = _read_numeric_csv(path, parse_header)
     x = data[:, :p1]
     z = data[:, p1:p1 + p2] if p2 else None
     y = data[:, -1]
@@ -320,37 +338,25 @@ def write_dataset_csv(path, dataset):
 
 def read_x_csv(path):
     """Read a covariates-only CSV with columns x1..xP1 into an (n, p1) array."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    def parse_header(header):
         expected = [f"x{j}" for j in range(1, len(header) + 1)]
         if not header or header != expected:
             raise DataError(
                 f"{path}: header must be x1..xP1 only; got {header}")
-        p1 = len(header)
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != p1:
-                raise DataError(
-                    f"{path}: row {i} has {len(row)} fields, expected {p1}")
-            vals = []
-            for j, field in enumerate(row):
-                try:
-                    vals.append(float(field))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {i}, column {header[j]}: "
-                        f"cannot parse {field!r} as a number") from None
-            rows.append(vals)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(data)):
-        bad = np.argwhere(~np.isfinite(data))[0]
-        raise DataError(
-            f"{path}: row {bad[0] + 2}, column {header[bad[1]]}: "
-            "non-finite value")
-    return data
+
+    return _read_numeric_csv(path, parse_header)[1]
+
+
+def write_atomic(path, text):
+    """Write text to path through a temp file in the same directory and a
+    rename, so readers never see a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

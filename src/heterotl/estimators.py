@@ -6,20 +6,21 @@ coefficients by averaged proxy least squares, then shrinks the target fit
 toward them with an l1 penalty. The homogeneous baseline does the same on
 the matched block only. The target-only lasso shrinks toward zero. The
 oracle predictor applies true coefficients and exists for benchmarking.
+The bootstrap refits the transfer estimator's target stage on resampled
+target rows, with the proxy side fit once.
 """
 
+import inspect
 import json
-import os
-import tempfile
 
 import numpy as np
 
 from .core import (ConfigError, Dataset, DimensionError, IncompatibleError,
-                   TLFit, apply_centering, fit_centering)
+                   TLFit, apply_centering, fit_centering, write_atomic)
 from .feature_map import (FeatureMapModel, average_maps, fit_linear_map,
                           fit_sieve_map, impute)
-from .penalized_reg import (LassoSettings, _lstsq_minnorm, cv_lambda,
-                            lasso_with_offset, warm_start)
+from .penalized_reg import (LassoSettings, SolveDiagnostics, _lstsq_minnorm,
+                            cv_lambda, lasso_with_offset, warm_start)
 from .sieve_basis import default_truncation, unravel
 
 
@@ -111,6 +112,20 @@ def _fit_maps(proxies, map_kind, ridge_tau, gamma, c_gamma, p1_prime,
                          for pr in proxies])
 
 
+def _shrink_toward(D, y, omega_hat, lam, settings, cv_folds, cv_seed):
+    """The target solve shared by every estimator: lam by cross-validation
+    when lam == "cv", then a warm-started lasso of y on D shrunk toward
+    omega_hat. Returns (lam, delta_hat, SolveDiagnostics).
+    """
+    if lam == "cv":
+        lam, _ = cv_lambda(D, y, omega_hat, folds=cv_folds, seed=cv_seed,
+                           settings=settings)
+    d0 = warm_start(D, y - D @ omega_hat, lam, settings)
+    _, delta, diag = lasso_with_offset(D, y, omega_hat, lam, settings,
+                                       delta0=d0)
+    return lam, delta, diag
+
+
 def _target_stage(map_model, omega_hat, target, lam, settings, clamp_tol,
                   center, cv_folds, cv_seed):
     zhat = impute(map_model, target.x, clamp_tol=clamp_tol)
@@ -119,12 +134,8 @@ def _target_stage(map_model, omega_hat, target, lam, settings, clamp_tol,
     if center:
         centering = fit_centering(D)
         D = apply_centering(D, centering)
-    if lam == "cv":
-        lam, _ = cv_lambda(D, target.y, omega_hat, folds=cv_folds,
-                           seed=cv_seed, settings=settings)
-    d0 = warm_start(D, target.y - D @ omega_hat, lam, settings)
-    beta, delta, diag = lasso_with_offset(D, target.y, omega_hat, lam,
-                                          settings, delta0=d0)
+    lam, delta, diag = _shrink_toward(D, target.y, omega_hat, lam, settings,
+                                      cv_folds, cv_seed)
     fit = TLFit(omega_hat, delta, lam, "htl")
     return HtlModel(fit, map_model, map_model.kind, centering=centering,
                     clamp_tol=clamp_tol, diagnostics=diag, settings=settings)
@@ -172,12 +183,8 @@ def fit_homogeneous(proxies, target, lam="cv", settings=None, cv_folds=5,
     if settings is None:
         settings = LassoSettings()
     omega1 = _proxy_x_coefficients(proxies)
-    if lam == "cv":
-        lam, _ = cv_lambda(target.x, target.y, omega1, folds=cv_folds,
-                           seed=cv_seed, settings=settings)
-    d0 = warm_start(target.x, target.y - target.x @ omega1, lam, settings)
-    _, delta, _ = lasso_with_offset(target.x, target.y, omega1, lam,
-                                    settings, delta0=d0)
+    lam, delta, _ = _shrink_toward(target.x, target.y, omega1, lam, settings,
+                                   cv_folds, cv_seed)
     return TLFit(omega1, delta, lam, "homogeneous")
 
 
@@ -188,13 +195,44 @@ def fit_target_lasso(target, lam="cv", settings=None, cv_folds=5, cv_seed=0):
     if settings is None:
         settings = LassoSettings()
     zero = np.zeros(target.p1)
-    if lam == "cv":
-        lam, _ = cv_lambda(target.x, target.y, zero, folds=cv_folds,
-                           seed=cv_seed, settings=settings)
-    d0 = warm_start(target.x, target.y, lam, settings)
-    _, delta, _ = lasso_with_offset(target.x, target.y, zero, lam, settings,
-                                    delta0=d0)
+    lam, delta, _ = _shrink_toward(target.x, target.y, zero, lam, settings,
+                                   cv_folds, cv_seed)
     return TLFit(zero, delta, lam, "target_lasso")
+
+
+def bootstrap_refit(proxies, target, B, seed, sampler=None, **fit_kwargs):
+    """Resample target rows with replacement B times and refit.
+
+    fit_kwargs are fit_htl's keywords, with its defaults. The proxy side
+    is fit once: the feature map and the reference coefficients do not
+    involve the target sample, so they stay fixed across draws. Each draw
+    refits the target stage (including lambda selection under the cv
+    policy, with the fold seed held fixed so a forced identity resample
+    reproduces the plain fit). sampler(rng, n) may replace the default
+    with-replacement row draw. Returns a (B, p) matrix of coefficient
+    vectors.
+    """
+    if B < 1:
+        raise ConfigError(f"need B >= 1 bootstrap draws, got {B}")
+    base = fit_htl(proxies, target, **fit_kwargs)
+    bound = inspect.signature(fit_htl).bind(proxies, target, **fit_kwargs)
+    bound.apply_defaults()
+    opts = bound.arguments
+    rng = np.random.default_rng(seed)
+    n = target.n
+    draws = np.empty((B, base.p1 + base.p2))
+    for b in range(B):
+        if sampler is None:
+            idx = rng.integers(0, n, size=n)
+        else:
+            idx = np.asarray(sampler(rng, n), dtype=int)
+        resampled = Dataset(target.x[idx], target.y[idx])
+        model = _target_stage(base.map, base.fit.omega_hat, resampled,
+                              opts["lam"], base.settings, opts["clamp_tol"],
+                              opts["center"], opts["cv_folds"],
+                              opts["cv_seed"])
+        draws[b] = model.fit.beta_hat
+    return draws
 
 
 def predict(model, X_new):
@@ -277,8 +315,7 @@ def model_to_dict(model):
                 else model.centering.tolist(),
                 "clamp_tol": model.clamp_tol,
                 "settings": {"max_iters": settings.max_iters,
-                             "tol": settings.tol,
-                             "standardize": settings.standardize},
+                             "tol": settings.tol},
                 "diagnostics": None if model.diagnostics is None
                 else model.diagnostics.to_dict()}
     if isinstance(model, TLFit):
@@ -291,13 +328,19 @@ def model_from_dict(d):
         return _tlfit_from_dict(d["fit"])
     if d["model"] != "htl":
         raise IncompatibleError(f"unknown model kind {d['model']!r}")
+    # files from before the standardize option was removed still carry
+    # it; only max_iters and tol are read
     settings = d.get("settings")
+    diagnostics = d.get("diagnostics")
     return HtlModel(_tlfit_from_dict(d["fit"]),
                     FeatureMapModel.from_dict(d["map"]),
                     d["map"]["variant"], centering=d.get("centering"),
                     clamp_tol=d.get("clamp_tol", 0.0),
+                    diagnostics=None if diagnostics is None
+                    else SolveDiagnostics(**diagnostics),
                     settings=None if settings is None
-                    else LassoSettings(**settings))
+                    else LassoSettings(max_iters=settings["max_iters"],
+                                       tol=settings["tol"]))
 
 
 def save_model(path, model, manifest=None):
@@ -305,17 +348,7 @@ def save_model(path, model, manifest=None):
     payload = model_to_dict(model)
     if manifest is not None:
         payload["manifest"] = manifest
-    text = json.dumps(payload, indent=2)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(payload, indent=2))
 
 
 def load_model(path):

@@ -33,7 +33,6 @@ class RankWarning(UserWarning):
 class LassoSettings:
     max_iters: int = 10000
     tol: float = 1e-9
-    standardize: bool = False
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -384,12 +383,6 @@ def lasso(D, r, lam, settings=None, delta0=None):
         delta0 = np.asarray(delta0, dtype=float)
         if delta0.shape != (D.shape[1],):
             raise DimensionError("delta0 length does not match D columns")
-    scale = 1.0
-    if settings.standardize:
-        nsq = np.einsum("ij,ij->j", D, D) / D.shape[0]
-        scale = np.sqrt(np.where(nsq > 0, nsq, 1.0))
-        D = D / scale
-        delta0 = None if delta0 is None else delta0 * scale
     if _gram_ok(*D.shape):
         Delta, it, conv = _warm_path(D, r, [lam], settings, delta0=delta0)
     else:
@@ -399,7 +392,7 @@ def lasso(D, r, lam, settings=None, delta0=None):
     delta = Delta[:, 0]
     diag = SolveDiagnostics(it, bool(conv[0]), kkt_check(D, r, lam, delta),
                             objective(D, r, lam, delta))
-    return delta / scale, diag
+    return delta, diag
 
 
 def lasso_with_offset(D, y, omega_hat, lam, settings=None, delta0=None):
@@ -428,7 +421,7 @@ def default_grid(lam_max, num=50, decay=1e-4):
 def _path_settings(settings):
     """Relaxed settings for fits that only need to rank or warm start."""
     return LassoSettings(max_iters=min(settings.max_iters, 250),
-                         tol=max(settings.tol, 1e-5), standardize=False)
+                         tol=max(settings.tol, 1e-5))
 
 
 def warm_start(D, r, lam, settings=None):
@@ -491,17 +484,9 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None):
         mask[val_idx] = False
         D_tr, y_tr = D[mask], y[mask]
         D_val, y_val = D[val_idx], y[val_idx]
-        if settings.standardize:
-            col_rms = np.sqrt(np.einsum("ij,ij->j", D_tr, D_tr)
-                              / D_tr.shape[0])
-            scale = np.where(col_rms > 0, col_rms, 1.0)
-            D_tr = D_tr / scale
-        r_tr = y_tr - D_tr @ (omega_hat * scale if settings.standardize
-                              else omega_hat)
+        r_tr = y_tr - D_tr @ omega_hat
         Delta, _, _ = _warm_path(D_tr, r_tr, grid, path_settings,
                                  stall_tol=1e-7)
-        if settings.standardize:
-            Delta = Delta / scale[:, None]
         preds = D_val @ (omega_hat[:, None] + Delta)
         errs[:, f] = np.mean(np.abs(preds - y_val[:, None]), axis=0)
     mean_errs = errs.mean(axis=1)

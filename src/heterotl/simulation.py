@@ -11,7 +11,6 @@ oracle arm, and aggregates test-set metrics per method.
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -338,7 +337,7 @@ def _one_rep(config, r):
                   ("homogeneous", hom.beta_hat, predict(hom, scen.test.x)),
                   ("target_lasso", las.beta_hat, predict(las, scen.test.x)))
     except HeterotlError as exc:
-        return r, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
     beta1_star = scen.truth.beta_star[:p1]
     rows = []
     for method, beta_hat, yhat in fitted:
@@ -353,7 +352,7 @@ def _one_rep(config, r):
     rows.append((r, "oracle",
                  mean_absolute_prediction_error(scen.test.y, yhat),
                  rmse(scen.test.y, yhat), 0.0))
-    return r, rows, None
+    return rows, None
 
 
 def _aggregate(rows):
@@ -411,23 +410,17 @@ class MetricsReport:
         return buf.getvalue()
 
 
-def run_replications(config, n_workers=1):
-    """Run config.reps seeded replications and collect metrics.
+def run_replications(config):
+    """Run config.reps seeded replications in order and collect metrics.
 
     Each replication derives its own seed from the master seed and the
-    index, so results do not depend on execution order or worker count.
+    index, so its results do not depend on which other replications run.
     A replication that raises a library error is dropped whole and
     recorded under failures.
     """
-    indices = range(config.reps)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda r: _one_rep(config, r), indices))
-    else:
-        results = [_one_rep(config, r) for r in indices]
-    results.sort(key=lambda t: t[0])
     rows, failures = [], []
-    for r, rep_rows, err in results:
+    for r in range(config.reps):
+        rep_rows, err = _one_rep(config, r)
         if err is not None:
             failures.append((r, err))
         else:

@@ -216,38 +216,48 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,y\n1,2,3\n")
     with pytest.raises(DataError, match="header"):
         read_dataset_csv(path)
+    # the header is checked before any row
+    path.write_text("x1,q\noops\n")
+    for read, layout in ((read_dataset_csv, "x1..xP1[, z1..zP2], y"),
+                         (read_x_csv, "x1..xP1 only")):
+        with pytest.raises(DataError) as info:
+            read(path)
+        assert str(info.value) == \
+            f"{path}: header must be {layout}; got ['x1', 'q']"
+
+
+def _assert_both_readers_reject(tmp_path, text, message, width=2):
+    """Both CSV readers raise DataError reading exactly "<path>: <message>"
+    for text after a valid header of width columns (no header if 0)."""
+    headers = {read_dataset_csv: [f"x{j}" for j in range(1, width)] + ["y"],
+               read_x_csv: [f"x{j}" for j in range(1, width + 1)]}
+    for read, header in headers.items():
+        path = tmp_path / f"{read.__name__}.csv"
+        path.write_text((",".join(header) + "\n" if width else "") + text)
+        with pytest.raises(DataError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 def test_csv_rejects_bad_cell(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x1,y\n1.0,2.0\noops,3.0\n")
-    with pytest.raises(DataError, match="row 3.*x1"):
-        read_dataset_csv(path)
+    _assert_both_readers_reject(
+        tmp_path, "1.0,2.0\noops,3.0\n",
+        "row 3, column x1: cannot parse 'oops' as a number")
 
 
 def test_csv_rejects_short_row(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x1,x2,y\n1.0,2.0,3.0\n4.0,5.0\n")
-    with pytest.raises(DataError, match="row 3"):
-        read_dataset_csv(path)
+    _assert_both_readers_reject(tmp_path, "1.0,2.0,3.0\n4.0,5.0\n",
+                                "row 3 has 2 fields, expected 3", width=3)
 
 
 def test_csv_rejects_non_finite(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x1,y\nnan,2.0\n")
-    with pytest.raises(DataError, match="row 2.*x1"):
-        read_dataset_csv(path)
+    _assert_both_readers_reject(tmp_path, "nan,2.0\n",
+                                "row 2, column x1: non-finite value")
 
 
 def test_csv_rejects_empty_and_headless(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(DataError):
-        read_dataset_csv(empty)
-    headers_only = tmp_path / "rows.csv"
-    headers_only.write_text("x1,y\n")
-    with pytest.raises(DataError, match="no data rows"):
-        read_dataset_csv(headers_only)
+    _assert_both_readers_reject(tmp_path, "", "empty file", width=0)
+    _assert_both_readers_reject(tmp_path, "", "no data rows")
 
 
 def test_read_x_csv(tmp_path):

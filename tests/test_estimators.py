@@ -334,6 +334,7 @@ def test_model_save_load_round_trip(tmp_path, map_kind):
     X_new = target.x[:7]
     assert np.array_equal(predict(back, X_new), predict(model, X_new))
     assert np.array_equal(back.fit.beta_hat, model.fit.beta_hat)
+    assert back.diagnostics == model.diagnostics
 
 
 def test_single_fit_save_load_round_trip(tmp_path):

@@ -159,16 +159,6 @@ def test_lasso_validation():
         LassoSettings(max_iters=0)
 
 
-def test_lasso_standardize_noop_for_unit_columns():
-    rng = np.random.default_rng(14)
-    D = rng.standard_normal((50, 6))
-    D /= np.sqrt(np.einsum("ij,ij->j", D, D) / 50)
-    y = rng.standard_normal(50)
-    plain, _ = lasso(D, y, 0.2)
-    scaled, _ = lasso(D, y, 0.2, LassoSettings(standardize=True))
-    assert np.max(np.abs(plain - scaled)) < 1e-12
-
-
 def test_gram_sweeps_monotone_objective():
     # every full coordinate pass must not increase the objective
     D, y, _ = _instance(15, n=50, p=12)

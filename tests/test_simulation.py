@@ -200,13 +200,6 @@ def test_harness_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_harness_threaded_matches_serial():
-    config = _toy_linear(reps=4)
-    serial = run_replications(config, n_workers=1)
-    threaded = run_replications(config, n_workers=3)
-    assert serial.to_csv_text() == threaded.to_csv_text()
-
-
 def test_harness_records_failures():
     # five folds cannot split four target rows: every replication fails
     config = _toy_linear(reps=2, n_t=4, lambda_policy="cv",
