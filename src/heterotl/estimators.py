@@ -15,8 +15,9 @@ import json
 
 import numpy as np
 
-from .core import (ConfigError, Dataset, DimensionError, IncompatibleError,
-                   TLFit, apply_centering, fit_centering, write_atomic)
+from .core import (ConfigError, ConvergenceError, Dataset, DimensionError,
+                   IncompatibleError, TLFit, apply_centering, fit_centering,
+                   write_atomic)
 from .feature_map import (FeatureMapModel, average_maps, fit_linear_map,
                           fit_sieve_map, impute)
 from .penalized_reg import (LassoSettings, SolveDiagnostics, _lstsq_minnorm,
@@ -115,7 +116,9 @@ def _fit_maps(proxies, map_kind, ridge_tau, gamma, c_gamma, p1_prime,
 def _shrink_toward(D, y, omega_hat, lam, settings, cv_folds, cv_seed):
     """The target solve shared by every estimator: lam by cross-validation
     when lam == "cv", then a warm-started lasso of y on D shrunk toward
-    omega_hat. Returns (lam, delta_hat, SolveDiagnostics).
+    omega_hat. Returns (lam, delta_hat, SolveDiagnostics); a final solve
+    that does not certify within settings.max_iters raises
+    ConvergenceError.
     """
     if lam == "cv":
         lam, _ = cv_lambda(D, y, omega_hat, folds=cv_folds, seed=cv_seed,
@@ -123,6 +126,11 @@ def _shrink_toward(D, y, omega_hat, lam, settings, cv_folds, cv_seed):
     d0 = warm_start(D, y - D @ omega_hat, lam, settings)
     _, delta, diag = lasso_with_offset(D, y, omega_hat, lam, settings,
                                        delta0=d0)
+    if not diag.converged:
+        raise ConvergenceError(
+            f"target solve at lambda={lam:.6g} did not converge within "
+            f"{settings.max_iters} iterations (KKT violation "
+            f"{diag.max_kkt_violation:.3g})")
     return lam, delta, diag
 
 
@@ -153,7 +161,8 @@ def fit_htl(proxies, target, map_kind="linear", lam="cv", settings=None,
     [X | Z] into omega_hat, then solves the l1 fit of the target response
     on [X_t | Zhat_t] shrunk toward omega_hat. lam is a number or "cv"
     for five-fold cross-validation on the target sample. center=True
-    subtracts target-design column means (reapplied at prediction).
+    subtracts target-design column means (reapplied at prediction). A
+    final target solve that does not certify raises ConvergenceError.
     """
     proxies = _check_proxies(proxies)
     if target.p1 != proxies[0].p1:

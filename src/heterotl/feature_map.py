@@ -4,11 +4,12 @@ The linear variant fits P minimizing ||Z - XP||_F^2 (optionally with a
 ridge shift tau on the Gram, solving (X'X + tau I) P = X'Z). The sieve
 variant expands X in the cosine tensor basis and fits all Z columns in
 one l1-penalized proximal-gradient (FISTA) solve; a penalized column stops
-at a relative duality gap of 1e-10, and settings.tol only bounds the
-gradient of unpenalized ones. Maps from several proxies are averaged
-entrywise; sieve coefficient matrices of different truncation are first
-zero-padded in the shared deterministic index ordering. Imputation applies
-the fitted map to new matched covariates.
+at a duality gap of 1e-10 of its objective at zero (the column's mean
+square), and settings.tol only bounds the gradient of unpenalized ones.
+Maps from several proxies are averaged entrywise; sieve coefficient
+matrices of different truncation are first zero-padded in the shared
+deterministic index ordering. Imputation applies the fitted map to new
+matched covariates.
 """
 
 import warnings
@@ -143,10 +144,10 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
     (entries of X / x_scale must lie within the basis support).
 
     All columns run in one FISTA solve. A column with gamma > 0 stops at a
-    relative duality gap of 1e-10; one with gamma = 0 (least squares) once
-    its gradient is within settings.tol in every coordinate, the only use
-    of tol here. A column open after settings.max_iters iterations raises
-    ConvergenceError.
+    duality gap of 1e-10 of its objective at zero, ||z_j||^2 / n; one with
+    gamma = 0 (least squares) once its gradient is within settings.tol in
+    every coordinate, the only use of tol here. A column open after
+    settings.max_iters iterations raises ConvergenceError.
     """
     if proxy.z is None:
         raise IncompatibleError("proxy dataset has no mismatched block z")

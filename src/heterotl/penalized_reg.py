@@ -2,31 +2,36 @@
 
 The generic problem is
 
-    min_delta (1/n) ||r - D delta||_2^2 + lam ||delta||_1,
+    min_delta P(delta) = (1/n) ||r - D delta||_2^2 + lam ||delta||_1 .
 
-solved by cyclic coordinate descent in gram form on small target designs,
-and by an accelerated proximal-gradient matrix solver for many responses
-on one design (the sieve map) or designs too wide for the gram form. Under
-this (1/n) convention the smallest lam with an all-zero solution is the
-null threshold (2/n) ||D' r||_inf. The offset form shrinks beta toward a
-reference vector omega_hat through the substitution delta = beta - omega_hat.
+Under this (1/n) convention the smallest lam with an all-zero solution is
+the null threshold (2/n) ||D' r||_inf. The offset form shrinks beta toward
+a reference vector omega_hat through the substitution delta = beta - omega_hat.
+
+Small designs (the target stage) are solved exactly by an active-set
+method walking the penalty path with warm starts; wide designs and the
+sieve map's many responses by an accelerated proximal-gradient matrix
+solver, which also finishes any active-set point left uncertified. Both
+certify a solve by a duality gap of at most 1e-10 of P(0) = ||r||^2 / n,
+not of P(delta): at small lam on ill-conditioned designs exact optima sit
+near 1e-10 of the primal in floating point. A zero penalty is certified
+by a gradient within settings.tol instead.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import ConfigError, DimensionError, InvalidValueError
 
 
-_GAP_TOL = 1e-10  # relative duality gap that certifies a prox-grad column
+_GAP_TOL = 1e-10  # duality gap that certifies a solve, relative to P(0)
+_ROUND_TOL = 1e-13  # relative level below which a KKT violation is rounding
+_RCOND = 1e-10  # relative eigenvalue below which an active gram is singular
+_ACTIVE_MAX = 200  # widest design solved by the active-set method
 _POWER_ITERS = 30  # power-iteration steps for the top gram eigenvalue
 _LIP_MARGIN = 1.05  # safety margin on that estimate
-
-
-class RankWarning(UserWarning):
-    """Design matrix is rank deficient; a minimum-norm solution was used."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +54,7 @@ class SolveDiagnostics:
     objective: float
 
     def to_dict(self):
-        return {"iterations": self.iterations, "converged": self.converged,
-                "max_kkt_violation": self.max_kkt_violation,
-                "objective": self.objective}
+        return asdict(self)
 
 
 def _check_design(D, v, dname="D", vname="r"):
@@ -75,21 +78,6 @@ def _lstsq_minnorm(D, y):
     return w, rank
 
 
-def ols(D, y):
-    """Least-squares coefficients of y on D.
-
-    Rank-deficient designs fall back to the minimum-norm solution and emit
-    a RankWarning.
-    """
-    D, y = _check_design(D, y, "D", "y")
-    w, rank = _lstsq_minnorm(D, y)
-    if rank < D.shape[1]:
-        warnings.warn(
-            f"design has rank {rank} < {D.shape[1]}; "
-            "returning the minimum-norm solution", RankWarning, stacklevel=2)
-    return w
-
-
 def soft_threshold(v, t):
     """sign(v) * max(|v| - t, 0); v may be a scalar or an array."""
     if np.any(np.asarray(t) < 0):
@@ -111,12 +99,6 @@ def objective(D, r, lam, delta):
     return float(np.mean(e * e) + lam * np.sum(np.abs(delta)))
 
 
-def offset_objective(D, y, omega_hat, beta, lam):
-    """(1/n) ||y - D beta||^2 + lam ||beta - omega_hat||_1."""
-    e = y - D @ beta
-    return float(np.mean(e * e) + lam * np.sum(np.abs(beta - omega_hat)))
-
-
 def kkt_check(D, r, lam, delta_hat):
     """Maximum violation of the stationarity conditions at delta_hat.
 
@@ -125,21 +107,14 @@ def kkt_check(D, r, lam, delta_hat):
     """
     D, r = _check_design(D, r)
     delta_hat = np.asarray(delta_hat, dtype=float)
-    n = D.shape[0]
-    g = (2.0 / n) * (D.T @ (D @ delta_hat - r))
-    nz = delta_hat != 0.0
-    viol = np.where(nz,
-                    np.abs(g + lam * np.sign(delta_hat)),
+    g = (2.0 / D.shape[0]) * (D.T @ (D @ delta_hat - r))
+    viol = np.where(delta_hat != 0.0, np.abs(g + lam * np.sign(delta_hat)),
                     np.maximum(np.abs(g) - lam, 0.0))
     return float(np.max(viol)) if viol.size else 0.0
 
 
 def _pin_zero_variance(nsq):
-    """Flag zero-variance columns and give them a harmless curvature.
-
-    Their coefficients stay pinned at zero; the 1.0 substitute only keeps
-    the update formula well defined.
-    """
+    """Flag zero-variance columns, pinned at zero, and give them scale 1."""
     zero_var = nsq == 0.0
     if np.any(zero_var):
         warnings.warn(
@@ -147,104 +122,6 @@ def _pin_zero_variance(nsq):
             UserWarning)
         nsq = np.where(zero_var, 1.0, nsq)
     return nsq, zero_var
-
-
-def _gram_pass(A, b, d, q, nsq, half, idx):
-    """One pass of exact coordinate updates in the gram form.
-
-    q tracks A @ d, so an update touches one row of A instead of the
-    residual vector. Returns the largest absolute step of the pass and
-    the accumulated sum of nsq_j * step_j^2, which lower-bounds the
-    objective decrease by coordinatewise strong convexity.
-    """
-    biggest = 0.0
-    moved = 0.0
-    for j in idx:
-        old = d[j]
-        rho = b[j] - q[j].item() + nsq[j] * old
-        if rho > half:
-            new = (rho - half) / nsq[j]
-        elif rho < -half:
-            new = (rho + half) / nsq[j]
-        else:
-            new = 0.0
-        step = new - old
-        if step != 0.0:
-            d[j] = new
-            q += A[j] * step
-            moved += nsq[j] * step * step
-            if step < 0.0:
-                step = -step
-            if step > biggest:
-                biggest = step
-    return biggest, moved
-
-
-def _gram_solve(A, b, d, q, nsq, half, order, tol, cap, stall=None):
-    """Run passes until a full pass moves every coordinate by less than tol.
-
-    Between full passes the active set is swept on its own, the usual
-    refinement. stall, when set, exits a fit whose per-pass objective
-    decrease has fallen below that bound; near-flat directions can keep
-    the coordinates drifting long after the objective has settled, and
-    ranking fits do not need to wait that out. A stall exit does not
-    count as converged. Returns (passes taken, converged flag).
-    """
-    it = 0
-    while it < cap:
-        it += 1
-        big, moved = _gram_pass(A, b, d, q, nsq, half, order)
-        if big < tol:
-            return it, True
-        if stall is not None and moved < stall:
-            return it, False
-        active = [j for j in order if d[j] != 0.0]
-        if active and len(active) < len(order):
-            while it < cap:
-                it += 1
-                big, moved = _gram_pass(A, b, d, q, nsq, half, active)
-                if big < tol:
-                    break
-                if stall is not None and moved < stall:
-                    return it, False
-    return it, False
-
-
-def _warm_path(D, r, lams, settings, delta0=None, stall_tol=None):
-    """Solve a descending penalty sequence with warm starts.
-
-    The gram matrix is formed once, each value starts from the previous
-    solution, and q = A @ d is refreshed from scratch per value so no
-    update drift carries across the path. stall_tol, when set, enables
-    the objective-stall exit at stall_tol times the response scale.
-    Returns (Delta with one column per value, total passes, per-value
-    convergence flags).
-    """
-    n, p = D.shape
-    A = D.T @ D / n
-    b = list(D.T @ r / n)
-    nsq, zero_var = _pin_zero_variance(np.diagonal(A).copy())
-    nsq = list(nsq)
-    order = [j for j in range(p) if not zero_var[j]]
-    if delta0 is None:
-        d = [0.0] * p
-    else:
-        d = [0.0 if zero_var[j] else float(delta0[j]) for j in range(p)]
-    stall = None
-    if stall_tol is not None:
-        stall = stall_tol * max(1.0, float(r @ r) / n)
-    L = len(lams)
-    Delta = np.empty((p, L))
-    conv = np.zeros(L, dtype=bool)
-    iters = 0
-    for l in range(L):
-        q = A @ d
-        it, ok = _gram_solve(A, b, d, q, nsq, lams[l] / 2.0, order,
-                             settings.tol, settings.max_iters, stall)
-        iters += it
-        conv[l] = ok
-        Delta[:, l] = d
-    return Delta, iters, conv
 
 
 def _gram_ok(n, p):
@@ -258,11 +135,8 @@ def _coldot(X, Y):
 
 
 def _top_eigenvalue(apply_A, p, max_iters=_POWER_ITERS, tol=0.0):
-    """Top eigenvalue of a PSD operator by power iteration, from below.
-
-    Stops after max_iters steps or once the Rayleigh quotient moves by at
-    most tol relative.
-    """
+    """Top eigenvalue of a PSD operator by power iteration, from below;
+    stops after max_iters steps or a relative move of at most tol."""
     v = np.random.default_rng(0).standard_normal(p)
     v /= np.linalg.norm(v)
     top = 0.0
@@ -278,19 +152,22 @@ def _top_eigenvalue(apply_A, p, max_iters=_POWER_ITERS, tol=0.0):
     return top
 
 
-def _certified(T, H, mse, lams, tol):
-    """Per-column stop test, given H = D'(R - D T) / n and the mean squares.
+def _certified(T, H, mse, c, lams, tol, slack=0.0):
+    """Stop test per column of T (or for a vector T), given H = D'(R - DT)/n,
+    the mean squares and c = R'R / n, the objective at T = 0.
 
-    Penalized: relative duality gap <= _GAP_TOL at the residual scaled by
-    s = min(1, lam / (2 |H|_inf)); as e'r / n = mse + T'H, the gap is
-    (1 - s)^2 mse - 2 s T'H + lam |T|_1. Unpenalized: |2 H|_inf <= tol.
+    Penalized: duality gap <= _GAP_TOL * c at the residual scaled by
+    s = min(1, min_j (lam + slack_j) / |2 H_j|), dual feasible up to the
+    rounding allowance slack: (1 - s)^2 mse - 2 s T'H + lam |T|_1, as
+    e'r / n = mse + T'H. Unpenalized: |2 H|_inf <= tol.
     """
-    hmax = np.max(np.abs(H), axis=0, initial=0.0)
-    s = np.minimum(1.0, lams / np.maximum(2.0 * hmax, np.finfo(float).tiny))
-    pen = lams * np.sum(np.abs(T), axis=0)
-    gap = (1.0 - s) ** 2 * mse - 2.0 * s * _coldot(T, H) + pen
-    return np.where(lams > 0.0, gap <= _GAP_TOL * (mse + pen),
-                    2.0 * hmax <= tol)
+    absH = np.abs(H)
+    room = (lams + slack) / np.maximum(2.0 * absH, np.finfo(float).tiny)
+    s = np.minimum(1.0, room.min(axis=0, initial=1.0))
+    pen = lams * np.abs(T).sum(axis=0)
+    gap = (1.0 - s) ** 2 * mse - 2.0 * s * (T * H).sum(axis=0) + pen
+    hmax = absH.max(axis=0, initial=0.0)
+    return np.where(lams > 0.0, gap <= _GAP_TOL * c, 2.0 * hmax <= tol)
 
 
 def _prox_grad_columns(D, R, lams, settings, Theta0=None):
@@ -310,10 +187,10 @@ def _prox_grad_columns(D, R, lams, settings, Theta0=None):
     Theta = np.zeros((p, R.shape[1])) if Theta0 is None \
         else np.array(Theta0, dtype=float)
     Theta[zero_var] = 0.0
+    c = _coldot(R, R) / n
     if _gram_ok(n, p):
         A = D.T @ D / n
         B = D.T @ R / n
-        c = _coldot(R, R) / n
 
         def state(T):
             H = B - A @ T
@@ -334,7 +211,7 @@ def _prox_grad_columns(D, R, lams, settings, Theta0=None):
     conv = np.zeros(lams.shape, dtype=bool)
     it = 0
     while True:
-        conv |= _certified(Theta, H, mse, lams, settings.tol)
+        conv |= _certified(Theta, H, mse, c, lams, settings.tol)
         if conv.all() or it == settings.max_iters:
             return Theta, it, conv
         it += 1
@@ -357,19 +234,166 @@ def _prox_grad_columns(D, R, lams, settings, Theta0=None):
         Theta, H, mse = T, H_new, mse_new
 
 
+def _active_ok(n, p):
+    """Whether an (n, p) design goes to the active-set method."""
+    return p <= _ACTIVE_MAX and _gram_ok(n, p)
+
+
+class _Gram:
+    """A = D'D / n, b = D'r / n, c = r'r / n, the column scales w and the
+    unit-scaled gram (on which rank is judged) of one design and response."""
+
+    def __init__(self, D, r):
+        n = D.shape[0]
+        self.A, self.b, self.c = D.T @ D / n, D.T @ r / n, float(r @ r) / n
+        nsq, self.zero_var = _pin_zero_variance(np.diagonal(self.A).copy())
+        self.w = np.sqrt(nsq)
+        self.unit = self.A / np.outer(self.w, self.w)
+        self.b_unit = float(np.max(np.abs(self.b) / self.w, initial=0.0))
+        self.key = self.eig = None  # the last active set and its factors
+
+    def slack(self, lams):
+        """Per column (and penalty), the |2 H_j| - lam that is rounding."""
+        return _ROUND_TOL * np.add.outer(2.0 * self.b_unit * self.w, lams)
+
+
+def _reduced_step(G, S, rhs, floor):
+    """(z, True) for the least-norm z with A_SS z = rhs, solved on unit
+    scale; or, if A_SS is singular and rhs reaches its null space beyond
+    floor, (that null component, False): the quadratic falls along it."""
+    w_S = G.w[S]
+    if S.tobytes() != G.key:
+        G.key, G.eig = S.tobytes(), np.linalg.eigh(G.unit[S][:, S])
+    ev, U = G.eig
+    coef = U.T @ (rhs / w_S)
+    null = ev <= _RCOND * ev[-1]
+    if np.abs(coef[null]).max(initial=0.0) > floor:
+        return U[:, null] @ coef[null] / w_S, False
+    return U[:, ~null] @ (coef[~null] / ev[~null]) / w_S, True
+
+
+def _feature_sign(G, lam, x, cap, tol):
+    """Feature-sign search (Lee et al. 2007) from x at one penalty.
+
+    A round solves A_SS z = b_S - lam s / 2 on the active set S with signs
+    s and moves toward z, stopping at the first sign change (ratio test);
+    that coordinate leaves S. Once a round reaches z, the worst violator
+    of |2 (A x - b)_j| <= lam joins S. If A_SS is singular and the right
+    side reaches its null space, the round moves along that null direction
+    to the first sign change, which the l1 term guarantees. Returns (x,
+    rounds, certified) once no violator exceeds rounding or after cap rounds.
+    """
+    A, b, w = G.A, G.b, G.w
+    x = x.copy()
+    slack = G.slack(lam)
+    rounds, stationary = 0, False
+
+    def done():
+        mse = G.c - x @ (b + H)
+        return x, rounds, bool(_certified(x, H, mse, G.c, lam, tol, slack))
+
+    while True:
+        H = b - A @ x
+        pattern = np.sign(x)
+        if stationary or not pattern.any():
+            excess = (2.0 * np.abs(H) - lam - slack) / w
+            excess[pattern != 0.0] = -np.inf
+            j = int(excess.argmax())
+            if not excess[j] > 0.0:
+                return done()
+            pattern[j] = np.sign(H[j])
+        if rounds == cap:
+            return done()
+        rounds += 1
+        S = pattern.nonzero()[0]
+        signs = pattern[S]
+        step, bounded = _reduced_step(G, S, H[S] - 0.5 * lam * signs,
+                                      _RCOND * (G.b_unit + lam / w[S].min()))
+        t = 1.0 if bounded else np.inf
+        ratios = np.divide(-x[S], step, out=np.full(S.size, np.inf),
+                           where=signs * step < 0.0)
+        k = int(ratios.argmin())
+        stationary, t = not ratios[k] < t, min(t, ratios[k])
+        if not 0.0 < t < np.inf:  # no descent: leave it to the fallback
+            return done()
+        x[S] += t * step
+        if not stationary:
+            x[S[k]] = 0.0
+
+
+def _follow_pattern(G, x, lam, lams, tol):
+    """The path from x, stationary at lam, on to the next penalties lams.
+
+    While the sign pattern s of x on its active set S holds, the solution
+    is x_S(l) = x_S + (lam - l) v with A_SS v = s / 2. Returns it, (p, k),
+    at the leading k penalties where it keeps its signs, has no violator
+    beyond rounding and certifies: the tests that end _feature_sign.
+    """
+    S = x.nonzero()[0]
+    v, bounded = _reduced_step(G, S, 0.5 * np.sign(x[S]),
+                               _RCOND * 0.5 / G.w[S].min())
+    if not bounded:
+        return np.empty((x.size, 0))  # no such v: the pattern cannot hold
+    X = np.zeros((x.size, lams.size))
+    X[S] = x[S, None] + np.outer(v, lam - lams)
+    H = G.b[:, None] - G.A @ X
+    slack = G.slack(lams)
+    bad = 2.0 * np.abs(H) - lams - slack > 0.0
+    bad[S] = np.sign(x[S, None]) * X[S] <= 0.0
+    mse = G.c - (X * (G.b[:, None] + H)).sum(axis=0)
+    ok = ~bad.any(axis=0) & _certified(X, H, mse, G.c, lams, tol, slack)
+    return X[:, :ok.size if ok.all() else int(ok.argmin())]
+
+
+def _lasso_path(D, r, lams, settings, x0=None):
+    """Solve the lasso at each penalty of lams in order, with warm starts.
+
+    On designs _active_ok accepts, each penalty runs _feature_sign from the
+    previous solution (x0 at the first); after a certified point
+    _follow_pattern fills in the next ones, and a point left uncertified
+    goes on in _prox_grad_columns (rounds and iterations capped together
+    at settings.max_iters). Wider designs solve all penalties as columns
+    of one _prox_grad_columns call. Returns (Delta, iterations, flags).
+    """
+    n, p = D.shape
+    lams = np.asarray(lams, dtype=float)
+    if not _active_ok(n, p):
+        ones = np.ones(lams.size)
+        return _prox_grad_columns(D, np.outer(r, ones), lams, settings,
+                                  None if x0 is None else np.outer(x0, ones))
+    G = _Gram(D, r)
+    x = np.zeros(p) if x0 is None else np.where(G.zero_var, 0.0, x0)
+    Delta = np.empty((p, lams.size))
+    conv = np.zeros(lams.size, dtype=bool)
+    iters = l = 0
+    while l < lams.size:
+        x, it, ok = _feature_sign(G, lams[l], x, settings.max_iters,
+                                  settings.tol)
+        if not ok and it < settings.max_iters:
+            rest = LassoSettings(settings.max_iters - it, settings.tol)
+            T, more, flags = _prox_grad_columns(D, r[:, None], lams[l:l + 1],
+                                                rest, x[:, None])
+            x, it, ok = T[:, 0], it + more, bool(flags[0])
+        Delta[:, l], conv[l] = x, ok
+        iters += it
+        l += 1
+        if ok and x.any():
+            X = _follow_pattern(G, x, lams[l - 1], lams[l:], settings.tol)
+            k = X.shape[1]
+            Delta[:, l:l + k], conv[l:l + k] = X, True
+            x, l = X[:, -1] if k else x, l + k
+    return Delta, iters, conv
+
+
 def lasso(D, r, lam, settings=None, delta0=None):
-    """Solve the l1-penalized least squares problem.
+    """Solve the l1-penalized least squares problem for delta.
 
-    Coordinate descent in gram form, stopping once a full pass moves no
-    coordinate by settings.tol; _prox_grad_columns on wider D (p > 4n).
-
-    Parameters
-    ----------
-    D : (n, p) design matrix.
-    r : (n,) response (already residualized in the offset form).
-    lam : nonnegative penalty level under the (1/n) objective convention.
-    settings : LassoSettings or None for defaults.
-    delta0 : optional warm start.
+    D is the (n, p) design, r the (n,) response (residualized in the
+    offset form), lam >= 0 the penalty under the (1/n) convention, delta0
+    an optional warm start. Small designs are solved exactly by the
+    active-set method, wide ones by proximal gradient (see _lasso_path).
+    The solve has converged once certified; settings.max_iters caps
+    active-set rounds plus fallback iterations.
 
     Returns (delta_hat, SolveDiagnostics). Non-convergence is reported via
     diagnostics.converged, never raised here.
@@ -383,14 +407,10 @@ def lasso(D, r, lam, settings=None, delta0=None):
         delta0 = np.asarray(delta0, dtype=float)
         if delta0.shape != (D.shape[1],):
             raise DimensionError("delta0 length does not match D columns")
-    if _gram_ok(*D.shape):
-        Delta, it, conv = _warm_path(D, r, [lam], settings, delta0=delta0)
-    else:
-        Delta, it, conv = _prox_grad_columns(
-            D, r[:, None], [lam], settings,
-            None if delta0 is None else delta0[:, None])
+    Delta, it, conv = _lasso_path(D, r, [lam], settings, delta0)
     delta = Delta[:, 0]
-    diag = SolveDiagnostics(it, bool(conv[0]), kkt_check(D, r, lam, delta),
+    diag = SolveDiagnostics(int(it), bool(conv[0]),
+                            kkt_check(D, r, lam, delta),
                             objective(D, r, lam, delta))
     return delta, diag
 
@@ -418,44 +438,25 @@ def default_grid(lam_max, num=50, decay=1e-4):
     return np.geomspace(lam_max, lam_max * decay, num)
 
 
-def _path_settings(settings):
-    """Relaxed settings for fits that only need to rank or warm start."""
-    return LassoSettings(max_iters=min(settings.max_iters, 250),
-                         tol=max(settings.tol, 1e-5))
-
-
 def warm_start(D, r, lam, settings=None):
-    """Warm start for a full-tolerance solve at lam.
-
-    Descends the default path from the null threshold down to lam at the
-    relaxed path tolerance and returns the endpoint. Returns None when
-    lam is at or above the null threshold, where the zero start is
-    already exact, or when the gram form would be oversized.
+    """Warm start for the final solve at lam: the active-set solution
+    there, so that the final solve only confirms its certificate. None
+    when lam is at or above the null threshold, where the zero start is
+    exact, or when the design is too wide for the active-set method.
     """
     D, r = _check_design(D, r)
-    if settings is None:
-        settings = LassoSettings()
-    if not _gram_ok(*D.shape):
+    if not _active_ok(*D.shape) or not 0 < lam < null_threshold(D, r):
         return None
-    lam_max = null_threshold(D, r)
-    if not 0 < lam < lam_max:
-        return None
-    grid = default_grid(lam_max)
-    lams = np.append(grid[grid > lam], lam)
-    Delta, _, _ = _warm_path(D, r, lams, _path_settings(settings),
-                             stall_tol=1e-7)
-    return Delta[:, -1]
+    return _lasso_path(D, r, [lam], settings or LassoSettings())[0][:, 0]
 
 
 def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None):
     """Pick lam by K-fold cross-validation of held-out mean absolute error.
 
     Fold assignment is a seeded permutation split into contiguous blocks.
-    Each fold fits the whole grid as one warm-started descending path;
-    these path fits only rank the candidates, so they use a relaxed
-    tolerance and a sweep cap, and the caller refits at the returned
-    value. Ties in the mean error go to the larger lam (more shrinkage
-    toward omega_hat).
+    Each fold solves the whole grid in one _lasso_path call (an uncertified
+    point is used as it stands). Ties in the mean error go to the larger
+    lam (more shrinkage toward omega_hat).
     Returns (best_lam, path) where path is a (L, 2) array of (lam, mean
     held-out error) rows over the deduplicated descending grid.
     """
@@ -475,7 +476,6 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None):
         raise ConfigError("lambda grid must be nonnegative")
     if settings is None:
         settings = LassoSettings()
-    path_settings = _path_settings(settings)
     perm = np.random.default_rng(seed).permutation(n)
     blocks = np.array_split(perm, folds)
     errs = np.zeros((grid.size, folds))
@@ -484,9 +484,8 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None):
         mask[val_idx] = False
         D_tr, y_tr = D[mask], y[mask]
         D_val, y_val = D[val_idx], y[val_idx]
-        r_tr = y_tr - D_tr @ omega_hat
-        Delta, _, _ = _warm_path(D_tr, r_tr, grid, path_settings,
-                                 stall_tol=1e-7)
+        Delta, _, _ = _lasso_path(D_tr, y_tr - D_tr @ omega_hat, grid,
+                                  settings)
         preds = D_val @ (omega_hat[:, None] + Delta)
         errs[:, f] = np.mean(np.abs(preds - y_val[:, None]), axis=0)
     mean_errs = errs.mean(axis=1)

@@ -6,6 +6,7 @@ solver. The package must agree with these, never the other way around.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 
@@ -183,3 +184,29 @@ def pg_lasso(D, r, lam, max_iters=1_000_000, calm=300):
             if cand_obj < best:
                 delta, best = cand, cand_obj
     return delta, best
+
+
+class RankWarning(UserWarning):
+    """Design matrix is rank deficient; a minimum-norm solution was used."""
+
+
+def ols(D, y):
+    """Least-squares coefficients of y on D.
+
+    Rank-deficient designs fall back to the minimum-norm solution and emit
+    a RankWarning.
+    """
+    D = np.asarray(D, dtype=float)
+    w, _, rank, _ = np.linalg.lstsq(D, np.asarray(y, dtype=float),
+                                    rcond=None)
+    if rank < D.shape[1]:
+        warnings.warn(
+            f"design has rank {rank} < {D.shape[1]}; "
+            "returning the minimum-norm solution", RankWarning, stacklevel=2)
+    return w
+
+
+def offset_objective(D, y, omega_hat, beta, lam):
+    """(1/n) ||y - D beta||^2 + lam ||beta - omega_hat||_1."""
+    e = y - D @ beta
+    return float(np.mean(e * e) + lam * np.sum(np.abs(beta - omega_hat)))

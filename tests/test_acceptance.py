@@ -14,10 +14,10 @@ from heterotl.core import Dataset
 from heterotl.feature_map import fit_linear_map
 from heterotl.penalized_reg import (LassoSettings, kkt_check, lasso,
                                     lasso_with_offset, null_threshold,
-                                    objective, offset_objective)
+                                    objective)
 from heterotl.sieve_basis import expand, unravel
 from heterotl.simulation import SimConfig, run_replications
-from oracles import pg_lasso, pg_objective
+from oracles import offset_objective, pg_lasso, pg_objective
 
 
 def _timed(config):

@@ -2,16 +2,24 @@
 
 perfbench/spans.py wraps each function of its TRACED table under the
 name heterotl.<layer>.<func>; a name that disappears silently drops its
-per-layer metrics from a traced run. perfbench/workload.py times fits by
-replacing simulation.fit_htl. The table is read from the source, without
-importing the benchmark.
+per-layer metrics from a traced run. It binds each lasso_with_offset
+call's arguments by name and reads the SolveDiagnostics at index 2 of
+the result into a JSON line that must not hold NaN or Infinity.
+perfbench/workload.py times fits by replacing simulation.fit_htl. The
+table is read from the source, without importing the benchmark.
 """
 
 import ast
 import importlib
+import inspect
+import json
 from pathlib import Path
 
+import numpy as np
+
 import heterotl.simulation
+from heterotl import penalized_reg
+from heterotl.penalized_reg import LassoSettings, SolveDiagnostics
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +45,26 @@ def test_every_traced_function_exists_under_its_name():
 
 def test_simulation_binds_fit_htl():
     assert heterotl.simulation.fit_htl is heterotl.fit_htl
+
+
+def test_target_solve_hooks_keep_their_names():
+    for name in ("cv_lambda", "warm_start", "lasso_with_offset"):
+        assert callable(getattr(penalized_reg, name, None)), name
+    params = inspect.signature(penalized_reg.lasso_with_offset).parameters
+    assert list(params)[:4] == ["D", "y", "omega_hat", "lam"]
+
+
+def test_lasso_with_offset_diagnostics_serialize_strictly():
+    rng = np.random.default_rng(0)
+    D = rng.standard_normal((30, 6))
+    y = D[:, :2] @ [1.0, -1.0] + 0.3 * rng.standard_normal(30)
+    omega = np.full(6, 0.2)
+    # a certified solve and one stopped at the cap
+    for settings in (LassoSettings(), LassoSettings(max_iters=1)):
+        diag = penalized_reg.lasso_with_offset(D, y, omega, 0.01,
+                                               settings)[2]
+        assert isinstance(diag, SolveDiagnostics)
+        assert type(diag.iterations) is int
+        assert type(diag.converged) is bool
+        assert np.isfinite([diag.max_kkt_violation, diag.objective]).all()
+        json.dumps(diag.to_dict(), allow_nan=False)

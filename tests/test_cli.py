@@ -274,6 +274,20 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert "converge" in err
 
 
+def test_linear_fit_nonconvergence_writes_no_model(tmp_path, capsys):
+    proxy, target = _toy_files(tmp_path)
+    out = tmp_path / "m.json"
+    args = ["fit", "--proxy", proxy, "--target", target, "--out", str(out),
+            "--lambda", "0.001"]
+    rc = cli.main(args + ["--max-iters", "1"])
+    assert rc == 4
+    assert "converge" in capsys.readouterr().err
+    assert list(tmp_path.glob("m.json*")) == []
+    # the same fit with the default budget certifies and saves
+    assert cli.main(args) == 0
+    assert json.loads(out.read_text())["diagnostics"]["converged"]
+
+
 def test_version_exits_clean(capsys):
     rc = cli.main(["--version"])
     out = capsys.readouterr().out

@@ -12,8 +12,9 @@ from heterotl.estimators import (HtlModel, fit_homogeneous, fit_htl,
                                  save_model)
 from heterotl.feature_map import FeatureMapModel, impute
 from heterotl.penalized_reg import (LassoSettings, _lstsq_minnorm,
-                                    lasso_with_offset, null_threshold, ols)
+                                    lasso_with_offset, null_threshold)
 from heterotl.simulation import gen_linear_scenario
+from oracles import ols
 
 
 def _linear_world(seed, K=2, n_p=400, n_t=50, p1=4, p2=3, delta_scale=1.0,

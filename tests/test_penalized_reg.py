@@ -1,5 +1,7 @@
 """Lasso solver, offset form, KKT checks, and lambda selection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,15 @@ from hypothesis import strategies as st
 
 from heterotl import penalized_reg
 from heterotl.core import ConfigError, DimensionError
-from heterotl.penalized_reg import (LassoSettings, RankWarning, _gram_ok,
-                                    _gram_pass, _prox_grad_columns,
-                                    cv_lambda, default_grid, kkt_check, lasso,
+from heterotl.estimators import fit_proxy_coefficients
+from heterotl.feature_map import average_maps, fit_linear_map, impute
+from heterotl.penalized_reg import (LassoSettings, _gram_ok, _lasso_path,
+                                    _prox_grad_columns, cv_lambda,
+                                    default_grid, kkt_check, lasso,
                                     lasso_with_offset, null_threshold,
-                                    objective, offset_objective, ols,
-                                    soft_threshold, warm_start)
-from oracles import pg_lasso
+                                    objective, soft_threshold, warm_start)
+from heterotl.simulation import SimConfig, gen_linear_scenario
+from oracles import RankWarning, offset_objective, ols, pg_lasso
 
 
 def _instance(seed, n=60, p=10, sparsity=3, noise=0.3):
@@ -159,22 +163,135 @@ def test_lasso_validation():
         LassoSettings(max_iters=0)
 
 
-def test_gram_sweeps_monotone_objective():
-    # every full coordinate pass must not increase the objective
-    D, y, _ = _instance(15, n=50, p=12)
-    n, p = D.shape
-    lam = 0.05
-    A = D.T @ D / n
-    b = D.T @ y / n
-    nsq = np.diag(A).copy()
-    d = np.zeros(p)
-    q = A @ d
-    objs = [objective(D, y, lam, d)]
-    for _ in range(40):
-        _gram_pass(A, b, d, q, nsq, lam / 2.0, range(p))
-        objs.append(objective(D, y, lam, d))
-    diffs = np.diff(objs)
-    assert np.all(diffs <= 1e-12)
+def _forbid_fallback(monkeypatch):
+    # the active-set method must certify these points on its own
+    def refuse(*args, **kwargs):
+        raise AssertionError("active-set point fell back to prox-grad")
+
+    monkeypatch.setattr(penalized_reg, "_prox_grad_columns", refuse)
+
+
+def _degenerate_designs():
+    """(name, D, r) on which a naive active set breaks down."""
+    rng = np.random.default_rng(15)
+    n = 30
+    # [X | X P]: rank 6 of 12, column scales from about 1 to about 30
+    X = rng.uniform(0.0, np.sqrt(12.0), size=(n, 6))
+    collinear = np.hstack([X, X @ (3.0 * rng.standard_normal((6, 6)))])
+    base = rng.standard_normal((n, 4))
+    duplicated = np.hstack([base, base[:, :2], 2.0 * base[:, 2:3]])
+    zero_var = rng.standard_normal((n, 5))
+    zero_var[:, 2] = 0.0
+    out = []
+    for name, D in (("collinear", collinear), ("duplicated", duplicated),
+                    ("zero_variance", zero_var)):
+        beta = rng.standard_normal(D.shape[1]) * (rng.uniform(
+            size=D.shape[1]) < 0.5)
+        out.append((name, D, D @ beta + 0.5 * rng.standard_normal(n)))
+    # exact fit: r is the rounding left over from y - D omega
+    omega = rng.standard_normal(12)
+    y = X @ omega[:6] + collinear[:, 6:] @ omega[6:]
+    out.append(("exact_fit", collinear, y - collinear @ omega))
+    return out
+
+
+def test_active_set_matches_projected_gradient_on_degenerate_designs(
+        monkeypatch):
+    _forbid_fallback(monkeypatch)
+    for name, D, r in _degenerate_designs():
+        lam_max = null_threshold(D, r)
+        c = float(r @ r) / len(r)
+        assert lam_max > 0.0, name
+        for frac in (0.5, 0.1, 0.01, 1e-4):
+            lam = frac * lam_max
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                delta, diag = lasso(D, r, lam)
+            assert diag.converged, (name, frac)
+            _, ref = pg_lasso(D, r, lam)
+            # never above the oracle beyond the certificate's 1e-10 of P(0)
+            assert diag.objective <= ref + 1e-9 * c, (name, frac)
+            assert diag.objective == objective(D, r, lam, delta)
+            assert diag.max_kkt_violation <= 1e-9 * lam_max, (name, frac)
+        if name == "zero_variance":
+            assert delta[2] == 0.0
+
+
+def test_active_set_certifies_a_penalty_at_rounding_scale(monkeypatch):
+    # at 1e-12 of the null threshold the gradient's rounding is larger
+    # than the slack a plain gap test leaves for dual feasibility, so the
+    # certificate must forgive the rounding that the violator test ignores
+    _forbid_fallback(monkeypatch)
+    for name, D, r in _degenerate_designs()[:3]:
+        lam_max = null_threshold(D, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            _, diag = lasso(D, r, 1e-12 * lam_max)
+        assert diag.converged, name
+        assert diag.max_kkt_violation <= 1e-9 * lam_max, name
+
+
+def test_cv_path_certifies_every_point_on_collinear_design(monkeypatch):
+    # a fig1-shaped target design: [X_t | X_t P_hat] has rank 20 of 40
+    cfg = SimConfig(scenario="linear", K=2, n_p=2000, n_t=50, p1=20,
+                    p2=20, reps=1, seed=0, n_test=10)
+    scen = gen_linear_scenario(cfg, 20290)
+    maps = average_maps([fit_linear_map(pr) for pr in scen.proxies])
+    D = np.hstack([scen.target.x, impute(maps, scen.target.x)])
+    assert np.linalg.matrix_rank(D) == 20
+    omega = fit_proxy_coefficients(scen.proxies)
+    flags = []
+    inner = penalized_reg._lasso_path
+
+    def spy(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        flags.append(out[2])
+        return out
+
+    monkeypatch.setattr(penalized_reg, "_lasso_path", spy)
+    _forbid_fallback(monkeypatch)
+    cv_lambda(D, scen.target.y, omega, folds=5, seed=3)
+    assert len(flags) == 5
+    assert all(f.shape == (50,) and f.all() for f in flags)
+
+
+def test_lasso_path_matches_pointwise_solves():
+    # walking the grid with warm starts and pattern following reaches the
+    # same points as cold single-penalty solves
+    D, r = _degenerate_designs()[0][1:]
+    lam_max = null_threshold(D, r)
+    lams = default_grid(lam_max, num=12)
+    Delta, _, conv = _lasso_path(D, r, lams, LassoSettings())
+    assert conv.all()
+    for l, lam in enumerate(lams):
+        _, diag = lasso(D, r, lam)
+        assert abs(objective(D, r, lam, Delta[:, l]) - diag.objective) \
+            <= 1e-12 * float(r @ r)
+        assert kkt_check(D, r, lam, Delta[:, l]) <= 1e-9 * lam_max
+
+
+def test_lasso_path_refuses_points_just_past_a_knot():
+    # with D'D / n = I the path is soft-thresholding, delta = soft(b, lam/2)
+    # for b = D'r / n, so a coordinate enters or leaves exactly at
+    # lam = 2 |b_j|; a grid point a hair past that knot certifies on the
+    # old sign pattern, but that point is not the optimum
+    rng = np.random.default_rng(45)
+    n, p = 40, 5
+    Q, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    D = np.sqrt(n) * Q
+    r = rng.standard_normal(n)
+    b = D.T @ r / n
+    knots = 2.0 * np.sort(np.abs(b))
+    knot = knots[2]
+    # no other knot lies between the grid's two points
+    assert knots[1] < 0.98 * knot and knots[3] > 1.02 * knot
+    # descending: a coordinate joins; ascending: one leaves
+    for lams in ([1.02 * knot, knot * (1 - 1e-9)],
+                 [0.98 * knot, knot * (1 + 1e-9)]):
+        Delta, _, conv = _lasso_path(D, r, np.array(lams), LassoSettings())
+        assert conv.all()
+        expect = soft_threshold(b, lams[1] / 2.0)
+        assert np.max(np.abs(Delta[:, 1] - expect)) <= 1e-12
 
 
 def _columns_instance(seed, n, p):

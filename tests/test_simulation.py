@@ -211,6 +211,17 @@ def test_harness_records_failures():
     assert report.aggregates["htl"] == {"n": 0}
 
 
+def test_harness_records_uncertified_target_solve():
+    # one active-set round cannot certify the target solve at a small
+    # penalty, so every replication's fit raises and is recorded
+    report = run_replications(_toy_linear(reps=2, lambda_value=0.01,
+                                          max_iters=1))
+    assert len(report.failures) == 2
+    assert report.rows == []
+    assert "ConvergenceError" in report.failures[0][1]
+    assert "did not converge" in report.failures[0][1]
+
+
 def test_aggregates_match_manual_stats():
     report = run_replications(_toy_linear(reps=4))
     vals = report.method_values("htl", "rmse")
