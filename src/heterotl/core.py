@@ -61,8 +61,12 @@ def _as_vector(a, name):
 
 
 def _require_finite(a, name):
-    if not np.all(np.isfinite(a)):
-        raise InvalidValueError(f"{name} contains non-finite values")
+    """InvalidValueError naming the first non-finite entry of a."""
+    bad = ~np.isfinite(a)
+    if np.any(bad):
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise InvalidValueError(f"{name} entry ({', '.join(map(str, at))}) "
+                                f"= {a[at]} is not finite")
 
 
 class Dataset:

@@ -12,12 +12,13 @@ target rows, with the proxy side fit once.
 
 import inspect
 import json
+import warnings
 
 import numpy as np
 
 from .core import (ConfigError, ConvergenceError, Dataset, DimensionError,
-                   IncompatibleError, TLFit, apply_centering, fit_centering,
-                   write_atomic)
+                   IncompatibleError, TLFit, _require_finite,
+                   apply_centering, fit_centering, write_atomic)
 from .feature_map import (FeatureMapModel, average_maps, fit_linear_map,
                           fit_sieve_map, impute)
 from .penalized_reg import (LassoSettings, SolveDiagnostics, _lstsq_minnorm,
@@ -75,24 +76,32 @@ def _check_proxies(proxies):
     return proxies
 
 
-def fit_proxy_coefficients(proxies):
-    """Mean of per-proxy least-squares coefficients on the design [X | Z]."""
-    proxies = _check_proxies(proxies)
+def _mean_minnorm_coefficients(proxies, design):
     coefs = []
-    for pr in proxies:
-        D = np.hstack([pr.x, pr.z])
-        w, _ = _lstsq_minnorm(D, pr.y)
+    for k, pr in enumerate(proxies):
+        D = design(pr)
+        w, rank = _lstsq_minnorm(D, pr.y)
+        if rank < D.shape[1]:
+            warnings.warn(
+                f"proxy {k + 1} design has rank {rank} < {D.shape[1]}; "
+                "minimum-norm coefficients fitted", UserWarning, stacklevel=3)
         coefs.append(w)
     return np.mean(coefs, axis=0)
+
+
+def fit_proxy_coefficients(proxies):
+    """Mean of per-proxy least-squares coefficients on the design [X | Z].
+
+    A rank-deficient design gets its minimum-norm solution and a
+    UserWarning that names its rank.
+    """
+    return _mean_minnorm_coefficients(_check_proxies(proxies),
+                                      lambda pr: np.hstack([pr.x, pr.z]))
 
 
 def _proxy_x_coefficients(proxies):
-    proxies = _check_proxies(proxies)
-    coefs = []
-    for pr in proxies:
-        w, _ = _lstsq_minnorm(pr.x, pr.y)
-        coefs.append(w)
-    return np.mean(coefs, axis=0)
+    return _mean_minnorm_coefficients(_check_proxies(proxies),
+                                      lambda pr: pr.x)
 
 
 def _fit_maps(proxies, map_kind, ridge_tau, gamma, c_gamma, p1_prime,
@@ -249,11 +258,12 @@ def predict(model, X_new):
 
     An HtlModel imputes the mismatched block first and applies the full
     coefficient vector; a TLFit applies its matched-block coefficients to
-    X_new directly.
+    X_new directly. A non-finite entry of X_new raises InvalidValueError.
     """
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2:
         raise DimensionError("X_new must be a 2-d matrix")
+    _require_finite(X_new, "X_new")
     if isinstance(model, HtlModel):
         if X_new.shape[1] != model.p1:
             raise DimensionError(

@@ -17,7 +17,8 @@ import warnings
 import numpy as np
 
 from .core import (ConfigError, ConvergenceError, DimensionError,
-                   IncompatibleError, InvalidValueError, SupportError)
+                   IncompatibleError, InvalidValueError, SupportError,
+                   _require_finite)
 from .penalized_reg import (LassoSettings, _lstsq_minnorm,
                             _prox_grad_columns, _top_eigenvalue,
                             cv_lambda)
@@ -238,14 +239,16 @@ def average_maps(maps):
 def impute(map_model, X, clamp_tol=0.0):
     """Predicted mismatched features for new matched covariates.
 
-    Sieve maps rescale X by the stored x_scale first; entries beyond the
-    support are clamped to the boundary when the relative overshoot is at
-    most clamp_tol (with a warning), otherwise a SupportError is raised.
+    A non-finite entry of X raises InvalidValueError. Sieve maps rescale X
+    by the stored x_scale first; entries beyond the support are clamped to
+    the boundary when the relative overshoot is at most clamp_tol (with a
+    warning), otherwise a SupportError is raised.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != map_model.p1:
         raise DimensionError(
             f"X must be (n, {map_model.p1}), got shape {X.shape}")
+    _require_finite(X, "X")
     if map_model.kind == "linear":
         return X @ map_model.P
     if map_model.x_scale is not None:

@@ -13,6 +13,12 @@ d_cap. The unraveling enumerates admissible indices sorted ascending by
 prod_k q_k, ties broken by sum_k q_k, then by descending lexicographic
 order, and truncates at M. The ordering is a pure function of its inputs,
 so two index sets with the same parameters agree on their common prefix.
+
+Design matrices are built without a cosine per order: phi_q(x) is
+sqrt(2) times the real part of e^(q-1) with e = exp(i pi (x+a) / (2a)), so
+expand raises e to one degree after the other and multiplies each degree's
+factors into the basis columns that use it. The result is an (n, M)
+Fortran-ordered array (the transpose of the (M, n) buffer it fills).
 """
 
 import json
@@ -21,7 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import CapacityError, ConfigError, DimensionError, SupportError
+from .core import (CapacityError, ConfigError, DimensionError, SupportError,
+                   _require_finite)
 
 
 def phi(q, x, a):
@@ -168,36 +175,41 @@ def default_truncation(p, n_p, budget=None, p1_prime=1, d_cap=64):
 def expand(X, basis):
     """Tensor-product design matrix: entry (i, m) = prod_k phi_{q_mk}(X_ik).
 
-    X must be (n, p1) with every entry in [-a, a]; column 0 of the result is
-    all ones (the constant index comes first).
+    X must be (n, p1) with every entry finite and in [-a, a]; column 0 of
+    the result is all ones (the constant index comes first).
+
+    No cosine is evaluated per order: with e = exp(i pi (x + a) / (2a)),
+    phi_q(x) = sqrt(2) * Re(e^(q-1)), so one complex multiply per degree
+    gives every coordinate's factor of that degree, which is multiplied
+    straight into the rows of an (M, n) array whose indices use it. The
+    result is the transpose of that array: an (n, M) Fortran-ordered view.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != basis.p1:
         raise DimensionError(
             f"X must be (n, {basis.p1}), got shape {X.shape}")
+    _require_finite(X, "X")
     a = basis.a
     over = np.abs(X) > a
     if np.any(over):
         i, k = np.argwhere(over)[0]
         raise SupportError(
             f"entry ({i}, {k}) = {X[i, k]} outside support [-{a}, {a}]")
-    n = X.shape[0]
-    cache = {}
-
-    def col(k, q):
-        key = (k, q)
-        if key not in cache:
-            cache[key] = np.sqrt(2.0) * np.cos(
-                (q - 1) * np.pi * (X[:, k] + a) / (2.0 * a))
-        return cache[key]
-
-    out = np.empty((n, len(basis)), dtype=float)
-    for m, idx in enumerate(basis.multi_indices):
-        acc = None
-        for k, q in enumerate(idx):
-            if q == 1:
-                continue
-            c = col(k, q)
-            acc = c.copy() if acc is None else acc * c
-        out[:, m] = 1.0 if acc is None else acc
-    return out
+    orders = np.array(basis.multi_indices).reshape(len(basis), basis.p1)
+    used = orders > 1
+    rows, coords = np.nonzero(used)
+    degrees = orders[rows, coords]
+    # factor slot within its index (1..p1_prime): a row holds each slot
+    # once, so one slot's rows can be updated by a single fancy index
+    slots = np.cumsum(used, axis=1)[rows, coords]
+    n_slots = int(slots.max(initial=0))
+    out = np.ones((len(basis), X.shape[0]))
+    e = np.exp(1j * np.pi / (2.0 * a) * (X.T + a))
+    power = np.ones_like(e)
+    for d in range(2, int(degrees.max(initial=1)) + 1):
+        power *= e
+        factor = np.sqrt(2.0) * power.real
+        for s in range(1, n_slots + 1):
+            sel = (degrees == d) & (slots == s)
+            out[rows[sel]] *= factor[coords[sel]]
+    return out.T

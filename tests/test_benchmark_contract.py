@@ -5,8 +5,11 @@ name heterotl.<layer>.<func>; a name that disappears silently drops its
 per-layer metrics from a traced run. It binds each lasso_with_offset
 call's arguments by name and reads the SolveDiagnostics at index 2 of
 the result into a JSON line that must not hold NaN or Infinity.
-perfbench/workload.py times fits by replacing simulation.fit_htl. The
-table is read from the source, without importing the benchmark.
+The sieve fit's expand calls are wrapped through feature_map's
+module-level binding, and their counter reads the shape of the (n, M)
+result. perfbench/workload.py times fits by replacing
+simulation.fit_htl. The table is read from the source, without importing
+the benchmark.
 """
 
 import ast
@@ -17,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+import heterotl.feature_map
+import heterotl.sieve_basis
 import heterotl.simulation
 from heterotl import penalized_reg
 from heterotl.penalized_reg import LassoSettings, SolveDiagnostics
@@ -45,6 +50,15 @@ def test_every_traced_function_exists_under_its_name():
 
 def test_simulation_binds_fit_htl():
     assert heterotl.simulation.fit_htl is heterotl.fit_htl
+
+
+def test_feature_map_binds_expand():
+    # the tracer reaches the sieve fit's expansion only through this
+    # module-level binding, and counts cells from a 2-d (n, M) result
+    assert heterotl.feature_map.expand is heterotl.sieve_basis.expand
+    basis = heterotl.sieve_basis.unravel(3, 1, 7)
+    out = heterotl.sieve_basis.expand(np.zeros((4, 3)), basis)
+    assert out.shape == (4, 7)
 
 
 def test_target_solve_hooks_keep_their_names():

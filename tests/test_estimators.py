@@ -1,18 +1,22 @@
 """End-to-end estimators, prediction, and model serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from heterotl.core import (Dataset, DimensionError, IncompatibleError,
-                           SupportError, TLFit,
+                           InvalidValueError, SupportError, TLFit,
                            mean_absolute_prediction_error)
-from heterotl.estimators import (HtlModel, fit_homogeneous, fit_htl,
+from heterotl.estimators import (HtlModel, _proxy_x_coefficients,
+                                 fit_homogeneous, fit_htl,
                                  fit_proxy_coefficients, fit_target_lasso,
                                  load_model, oracle_predict, predict,
                                  save_model)
 from heterotl.feature_map import FeatureMapModel, impute
 from heterotl.penalized_reg import (LassoSettings, _lstsq_minnorm,
                                     lasso_with_offset, null_threshold)
+from heterotl.sieve_basis import unravel
 from heterotl.simulation import gen_linear_scenario
 from oracles import ols
 
@@ -70,6 +74,26 @@ def test_proxy_coefficients_dimension_guard():
         fit_proxy_coefficients([])
     with pytest.raises(IncompatibleError):
         fit_proxy_coefficients([proxies[0].without_z()])
+
+
+def test_proxy_coefficients_warn_on_rank_deficient_design():
+    proxies, _, _, _ = _linear_world(6, K=2)
+    # proxy 2 repeats its first z column: [X | Z] has rank 7 of 8
+    pr = proxies[1]
+    dup = Dataset(pr.x, pr.y, np.hstack([pr.z, pr.z[:, :1]]))
+    full = Dataset(proxies[0].x, proxies[0].y,
+                   np.hstack([proxies[0].z, proxies[0].x[:, :1] ** 2]))
+    with pytest.warns(UserWarning, match=r"proxy 2 .*rank 7 < 8"):
+        omega = fit_proxy_coefficients([full, dup])
+    assert np.all(np.isfinite(omega))
+    # full-rank designs stay silent, on [X | Z] and on X alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_proxy_coefficients(proxies)
+        _proxy_x_coefficients(proxies)
+    dup_x = Dataset(np.hstack([pr.x, pr.x[:, :1]]), pr.y, pr.z)
+    with pytest.warns(UserWarning, match=r"proxy 1 .*rank 4 < 5"):
+        _proxy_x_coefficients([dup_x])
 
 
 def test_htl_degenerate_chain_recovers_truth():
@@ -273,6 +297,21 @@ def test_predict_guards():
         predict("not a model", np.ones((2, 3)))
     with pytest.raises(DimensionError):
         predict(hom, np.ones(3))
+
+
+def test_predict_rejects_non_finite_entries():
+    hom = TLFit(np.zeros(2), np.zeros(2), 0.0, "homogeneous")
+    linear = HtlModel(TLFit(np.ones(3), np.zeros(3), 0.0, "htl"),
+                      FeatureMapModel("linear", P=np.ones((2, 1))), "linear")
+    sieve = HtlModel(TLFit(np.ones(3), np.zeros(3), 0.0, "htl"),
+                     FeatureMapModel("sieve", basis=unravel(2, 1, 5),
+                                     Theta=np.ones((5, 1))), "sieve")
+    for model in (hom, linear, sieve):
+        for bad in (np.nan, -np.inf):
+            X = np.array([[0.5, 0.0], [bad, 0.0]])
+            with pytest.raises(InvalidValueError,
+                               match=r"X_new entry \(1, 0\)"):
+                predict(model, X)
 
 
 def test_oracle_predict_zero_truth():

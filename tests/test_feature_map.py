@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from heterotl.core import (ConfigError, ConvergenceError, Dataset,
-                           DimensionError, IncompatibleError, SupportError)
+                           DimensionError, IncompatibleError,
+                           InvalidValueError, SupportError)
 from heterotl.feature_map import (FeatureMapModel, average_maps,
                                   fit_linear_map, fit_sieve_map, impute,
                                   map_discrepancy)
@@ -265,6 +266,22 @@ def test_impute_errors_and_clamping():
     assert np.array_equal(out, clipped)
     with pytest.raises(SupportError):
         impute(model, np.array([[1.05, 0.0]]), clamp_tol=0.01)
+
+
+def test_impute_rejects_non_finite_entries():
+    linear = FeatureMapModel("linear", P=np.ones((2, 1)))
+    # x_scale 10 would bring 5.0 inside the support; the NaN is named first
+    sieve = FeatureMapModel("sieve", basis=unravel(2, 1, 5),
+                            Theta=np.ones((5, 1)), x_scale=[10.0, 10.0])
+    for model in (linear, sieve):
+        for bad in (np.nan, np.inf):
+            X = np.array([[5.0, 0.0], [0.0, bad]])
+            with pytest.raises(InvalidValueError, match=r"\(1, 1\)"):
+                impute(model, X)
+    with pytest.raises(InvalidValueError, match=r"\(0, 0\)"):
+        impute(FeatureMapModel("sieve", basis=unravel(2, 1, 5),
+                               Theta=np.ones((5, 1))),
+               np.array([[np.nan, 5.0]]))
 
 
 def test_discrepancy_identical_is_zero():

@@ -1,10 +1,12 @@
 """Cosine basis, multi-index enumeration, and design expansion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from heterotl.core import (CapacityError, ConfigError, DimensionError,
-                           SupportError)
+                           InvalidValueError, SupportError)
 from heterotl.sieve_basis import (BasisIndexSet, admissible_count,
                                   default_truncation, expand, phi, unravel)
 from oracles import brute_force_indices, cosine_quadrature
@@ -159,6 +161,65 @@ def test_expand_errors():
         expand(np.zeros((4, 3)), basis)
     with pytest.raises(SupportError, match=r"\(1, 0\)"):
         expand(np.array([[0.0, 0.0], [1.5, 0.0]]), basis)
+
+
+def _phi_products(X, basis):
+    out = np.ones((X.shape[0], len(basis)))
+    for m, idx in enumerate(basis.multi_indices):
+        for k, q in enumerate(idx):
+            out[:, m] *= phi(q, X[:, k], basis.a)
+    return out
+
+
+@pytest.mark.parametrize("p1, p1_prime, M", [(2, 1, 127), (2, 2, 4096),
+                                              (3, 3, 800)])
+def test_expand_matches_phi_products_up_to_degree_cap(p1, p1_prime, M):
+    # the powers of e^{i theta} run up to degree 64, where their rounding
+    # error is largest
+    basis = unravel(p1, p1_prime, M, a=1.5, d_cap=64)
+    assert max(max(m) for m in basis.multi_indices) == 64
+    rng = np.random.default_rng(8)
+    X = np.vstack([rng.uniform(-1.5, 1.5, size=(40, p1)),
+                   np.full((1, p1), -1.5), np.full((1, p1), 1.5),
+                   np.full((1, p1), 1.5 - 1e-12)])
+    assert np.max(np.abs(expand(X, basis) - _phi_products(X, basis))) \
+        <= 1e-12
+
+
+def test_expand_exact_at_support_ends():
+    a = 2.5
+    basis = unravel(2, 2, 4096, a=a)
+    X = np.array([[-a, -a], [a, a], [-a, a]])
+    out = expand(X, basis)
+    assert np.array_equal(out, _phi_products(X, basis))
+    # univariate indices (q, 1): sqrt(2) at -a and sqrt(2) (-1)^(q-1) at a
+    q = np.array([m[0] for m in basis.multi_indices])
+    uni = np.array([m[0] > 1 and m[1] == 1 for m in basis.multi_indices])
+    assert np.array_equal(out[0, uni], np.full(uni.sum(), np.sqrt(2.0)))
+    assert np.array_equal(out[1, uni], np.sqrt(2.0) * (-1.0) ** (q[uni] - 1))
+
+
+def test_expand_peak_memory_is_about_its_result():
+    n, M = 3000, 1261
+    X = np.random.default_rng(9).uniform(-1.0, 1.0, size=(n, 20))
+    basis = unravel(20, 1, M)
+    tracemalloc.start()
+    try:
+        out = expand(X, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, M)
+    assert peak <= 1.25 * n * M * 8
+
+
+def test_expand_rejects_non_finite_before_support():
+    basis = unravel(2, 1, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        # row 0 is outside the support, but the non-finite entry is named
+        X = np.array([[5.0, 0.0], [0.0, bad]])
+        with pytest.raises(InvalidValueError, match=r"\(1, 1\)"):
+            expand(X, basis)
 
 
 def test_default_truncation_cube_rule():
