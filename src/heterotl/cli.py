@@ -5,9 +5,9 @@ predict (apply a saved model to new matched covariates), simulate (run
 the benchmark scenarios), bootstrap (resample the target sample and refit
 while the proxy side stays fixed). Every flag has a config-file
 equivalent: --config names a JSON object whose keys are the long flag
-names; explicit flags win over the file, the file wins over presets and
-built-in defaults. Exit codes: 0 success, 2 bad arguments, 3 data error,
-4 solver non-convergence.
+names, each value parsed by its flag's rule; explicit flags win over the
+file, the file wins over presets and built-in defaults. Exit codes: 0
+success, 2 bad arguments, 3 data error, 4 solver non-convergence.
 """
 
 import argparse
@@ -58,10 +58,6 @@ _SIM_DEFAULTS = {
 
 _BOOT_DEFAULTS = dict(_FIT_DEFAULTS, B=None, seed=0)
 
-# config-file keys use the long flag spelling; "lambda" needs a rename
-# because it cannot be an attribute name
-_KEY_ALIASES = {"lambda": "lam"}
-
 
 def _sha256_file(path):
     digest = hashlib.sha256()
@@ -93,20 +89,76 @@ def _load_config_file(path):
     return cfg
 
 
-def _merged_options(args, defaults, preset=None):
+def _config_value(key, action, value):
+    """A config-file value read by its flag's rule: a switch takes true
+    or false, any other flag the text of a string or number, converted by
+    the flag's type and checked against its choices."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} must be true or false, "
+                              f"got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"config key {key!r} must be a string or a "
+                          f"number, got {value!r}")
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        out = text if action.type is None else action.type(text)
+    except ValueError:
+        raise ConfigError(f"config key {key!r} must be of type "
+                          f"{action.type.__name__}, got {value!r}")
+    if action.choices is not None and out not in action.choices:
+        raise ConfigError(f"config key {key!r} must be one of "
+                          f"{', '.join(action.choices)}, got {value!r}")
+    return out
+
+
+def _config_file_options(args, defaults):
+    """The --config file's values by option name.
+
+    A key is a long flag name or the name of the option it sets (lam,
+    delta-sparse), spelled with - or _. A null leaves the option unset.
+    A switch named by its flag sets the value the flag sets when true
+    (dense-delta: true turns delta_sparse off).
+    """
+    actions = args.parser._actions
+    by_flag = {s[2:]: a for a in actions for s in a.option_strings}
+    by_dest = {a.dest: a for a in actions}
+    out = {}
+    for key, value in _load_config_file(args.config).items():
+        action = by_flag.get(key.replace("_", "-"))
+        named_flag = action is not None
+        if not named_flag:
+            action = by_dest.get(key.replace("-", "_"))
+        if action is None or action.dest not in defaults:
+            raise ConfigError(f"unknown config key {key!r}")
+        if value is None:
+            continue
+        if isinstance(action, argparse._AppendAction):
+            # one path, not a sequence of characters, or a list of them
+            if not isinstance(value, list):
+                value = [value]
+            value = [_config_value(key, action, v) for v in value]
+        else:
+            value = _config_value(key, action, value)
+            if named_flag and action.const is False:
+                value = not value
+        out[action.dest] = value
+    return out
+
+
+def _merged_options(args, defaults, presets=None):
+    """Explicit flags over the config file over the preset (named by
+    flag or file) over built-in defaults."""
+    from_file = _config_file_options(args, defaults) if args.config else {}
+    flags = {attr: getattr(args, attr) for attr in defaults
+             if getattr(args, attr, None) is not None}
     out = dict(defaults)
-    if preset:
-        out.update(preset)
-    if getattr(args, "config", None):
-        for key, value in _load_config_file(args.config).items():
-            attr = _KEY_ALIASES.get(key, key.replace("-", "_"))
-            if attr not in defaults:
-                raise ConfigError(f"unknown config key {key!r}")
-            out[attr] = value
-    for attr in defaults:
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[attr] = value
+    if presets is not None:
+        out.update(presets[flags.get("preset",
+                                     from_file.get("preset", "custom"))])
+    out.update(from_file)
+    out.update(flags)
     return out
 
 
@@ -152,18 +204,15 @@ def _load_training_data(opts):
 
 
 def _fit_kwargs(opts):
-    settings = LassoSettings(max_iters=int(opts["max_iters"]),
-                             tol=float(opts["tol"]))
+    settings = LassoSettings(max_iters=opts["max_iters"], tol=opts["tol"])
     return {
         "map_kind": opts["map"], "lam": _parse_lambda(opts["lam"]),
-        "settings": settings, "ridge_tau": float(opts["ridge"]),
-        "gamma": _parse_gamma(opts["gamma"]),
-        "c_gamma": float(opts["c_gamma"]),
-        "p1_prime": int(opts["p1_prime"]),
-        "budget": None if opts["budget"] is None else int(opts["budget"]),
-        "d_cap": int(opts["d_cap"]), "clamp_tol": float(opts["clamp_tol"]),
-        "center": bool(opts["center"]), "cv_folds": int(opts["folds"]),
-        "cv_seed": int(opts["cv_seed"]),
+        "settings": settings, "ridge_tau": opts["ridge"],
+        "gamma": _parse_gamma(opts["gamma"]), "c_gamma": opts["c_gamma"],
+        "p1_prime": opts["p1_prime"], "budget": opts["budget"],
+        "d_cap": opts["d_cap"], "clamp_tol": opts["clamp_tol"],
+        "center": opts["center"], "cv_folds": opts["folds"],
+        "cv_seed": opts["cv_seed"],
     }
 
 
@@ -175,7 +224,7 @@ def cmd_fit(args):
     model = fit_htl(proxies, target, **_fit_kwargs(opts))
     elapsed = time.perf_counter() - started
     snapshot = {k: opts[k] for k in _FIT_DEFAULTS}
-    manifest = _manifest("fit", snapshot, int(opts["cv_seed"]),
+    manifest = _manifest("fit", snapshot, opts["cv_seed"],
                          list(opts["proxy"]) + [opts["target"]],
                          {"total_s": elapsed})
     save_model(opts["out"], model, manifest)
@@ -207,35 +256,26 @@ def cmd_predict(args):
 
 
 def _sim_config(opts):
-    lam_policy = opts["lambda_policy"]
-    if lam_policy not in ("cv", "fixed"):
-        raise ConfigError(f"--lambda-policy must be cv or fixed, "
-                          f"got {lam_policy!r}")
     return SimConfig(
-        scenario=opts["scenario"], K=int(opts["K"]), n_p=int(opts["n_p"]),
-        n_t=int(opts["n_t"]), p1=int(opts["p1"]), p2=int(opts["p2"]),
-        reps=int(opts["reps"]), seed=int(opts["seed"]),
-        n_test=int(opts["n_test"]), delta_sparse=bool(opts["delta_sparse"]),
-        sparse_total=bool(opts["sparse_total"]), lambda_policy=lam_policy,
-        lambda_value=None if opts["lambda_value"] is None
-        else float(opts["lambda_value"]),
-        map_kind=opts["map"], delta_scale=float(opts["delta_scale"]),
-        map_noise_scale=float(opts["map_noise"]),
-        model_noise_scale=float(opts["model_noise"]),
-        map_perturb_scale=float(opts["map_perturb"]),
-        ridge_tau=float(opts["ridge"]), gamma=_parse_gamma(opts["gamma"]),
-        c_gamma=float(opts["c_gamma"]), p1_prime=int(opts["p1_prime"]),
-        budget=None if opts["budget"] is None else int(opts["budget"]),
-        d_cap=int(opts["d_cap"]), clamp_tol=float(opts["clamp_tol"]),
-        cv_folds=int(opts["folds"]), tol=float(opts["tol"]),
-        max_iters=int(opts["max_iters"]))
+        scenario=opts["scenario"], K=opts["K"], n_p=opts["n_p"],
+        n_t=opts["n_t"], p1=opts["p1"], p2=opts["p2"], reps=opts["reps"],
+        seed=opts["seed"], n_test=opts["n_test"],
+        delta_sparse=opts["delta_sparse"],
+        sparse_total=opts["sparse_total"],
+        lambda_policy=opts["lambda_policy"],
+        lambda_value=opts["lambda_value"], map_kind=opts["map"],
+        delta_scale=opts["delta_scale"], map_noise_scale=opts["map_noise"],
+        model_noise_scale=opts["model_noise"],
+        map_perturb_scale=opts["map_perturb"], ridge_tau=opts["ridge"],
+        gamma=_parse_gamma(opts["gamma"]), c_gamma=opts["c_gamma"],
+        p1_prime=opts["p1_prime"], budget=opts["budget"],
+        d_cap=opts["d_cap"], clamp_tol=opts["clamp_tol"],
+        cv_folds=opts["folds"], tol=opts["tol"],
+        max_iters=opts["max_iters"])
 
 
 def cmd_simulate(args):
-    preset = getattr(args, "preset", None) or "custom"
-    if preset not in _PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}")
-    opts = _merged_options(args, _SIM_DEFAULTS, preset=_PRESETS[preset])
+    opts = _merged_options(args, _SIM_DEFAULTS, _PRESETS)
     _require(opts, ("scenario", "out"))
     config = _sim_config(opts)
     started = time.perf_counter()
@@ -264,12 +304,12 @@ def cmd_simulate(args):
 def cmd_bootstrap(args):
     opts = _merged_options(args, _BOOT_DEFAULTS)
     _require(opts, ("proxy", "target", "out", "B"))
-    B = int(opts["B"])
+    B = opts["B"]
     if B < 1:
         raise ConfigError(f"--B must be >= 1, got {B}")
     started = time.perf_counter()
     proxies, target = _load_training_data(opts)
-    draws = bootstrap_refit(proxies, target, B, int(opts["seed"]),
+    draws = bootstrap_refit(proxies, target, B, opts["seed"],
                             **_fit_kwargs(opts))
     p1 = proxies[0].p1
     lines = ["b,coef,value"]
@@ -279,7 +319,7 @@ def cmd_bootstrap(args):
             lines.append(f"{b},{name},{repr(float(value))}")
     write_atomic(opts["out"], "\n".join(lines) + "\n")
     snapshot = {k: opts[k] for k in _BOOT_DEFAULTS}
-    manifest = _manifest("bootstrap", snapshot, int(opts["seed"]),
+    manifest = _manifest("bootstrap", snapshot, opts["seed"],
                          list(opts["proxy"]) + [opts["target"]],
                          {"total_s": time.perf_counter() - started})
     write_atomic(opts["out"] + ".manifest.json",

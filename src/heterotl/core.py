@@ -175,15 +175,16 @@ class TruthRecord:
     """Simulation ground truth for one replication.
 
     Holds the true coefficient vector, the per-proxy contrasts with their
-    exact nonzero counts, the true feature maps (None when the generating
-    map is not linear), and the withheld target/test mismatched features.
+    exact nonzero counts, the true target feature map (None when the
+    generating map is not linear), and the withheld target/test mismatched
+    features.
     """
 
     __slots__ = ("beta_star", "delta_star_per_proxy", "sparsity_s_delta",
-                 "true_map_target", "true_map_proxies", "z_target", "z_test")
+                 "true_map_target", "z_target", "z_test")
 
     def __init__(self, beta_star, delta_star_per_proxy, true_map_target,
-                 true_map_proxies, z_target=None, z_test=None):
+                 z_target=None, z_test=None):
         beta_star = _as_vector(beta_star, "beta_star")
         deltas = [_as_vector(d, "delta_star") for d in delta_star_per_proxy]
         sparsity = [int(np.count_nonzero(d)) for d in deltas]
@@ -191,9 +192,6 @@ class TruthRecord:
         object.__setattr__(self, "delta_star_per_proxy", deltas)
         object.__setattr__(self, "sparsity_s_delta", sparsity)
         object.__setattr__(self, "true_map_target", true_map_target)
-        object.__setattr__(self, "true_map_proxies",
-                           None if true_map_proxies is None
-                           else list(true_map_proxies))
         object.__setattr__(self, "z_target", z_target)
         object.__setattr__(self, "z_test", z_test)
 

@@ -1,15 +1,17 @@
 """Estimate the matched-to-mismatched feature map on proxy data.
 
-The linear variant fits P minimizing ||Z - XP||_F^2 (optionally with a
-ridge shift tau on the Gram, solving (X'X + tau I) P = X'Z). The sieve
-variant expands X in the cosine tensor basis and fits all Z columns in
-one l1-penalized proximal-gradient (FISTA) solve; a penalized column stops
-at a duality gap of 1e-10 of its objective at zero (the column's mean
-square), and settings.tol only bounds the gradient of unpenalized ones.
-Maps from several proxies are averaged entrywise; sieve coefficient
-matrices of different truncation are first zero-padded in the shared
-deterministic index ordering. Imputation applies the fitted map to new
-matched covariates.
+Both variants are one representation: a feature matrix F(X) times one
+coefficient matrix C, Z ~ F(X) C. The linear variant takes F(X) = X and
+fits C = P by least squares, ||Z - XP||_F^2 (optionally with a ridge
+shift tau on the Gram, solving (X'X + tau I) P = X'Z). The sieve variant
+takes the cosine tensor basis of X / x_scale and fits C = Theta, all Z
+columns in one l1-penalized proximal-gradient (FISTA) solve; a penalized
+column stops at a duality gap of 1e-10 of its objective at zero (the
+column's mean square), and settings.tol only bounds the gradient of
+unpenalized ones. Maps are averaged entrywise and compared by the
+spectral norm of their coefficient difference, after zero-padding sieve
+matrices of different truncation in the shared deterministic index
+ordering. Imputation applies F(X) C to new matched covariates.
 """
 
 import warnings
@@ -20,55 +22,53 @@ from .core import (ConfigError, ConvergenceError, DimensionError,
                    IncompatibleError, InvalidValueError, SupportError,
                    _require_finite)
 from .penalized_reg import (LassoSettings, _lstsq_minnorm,
-                            _prox_grad_columns, _top_eigenvalue,
-                            cv_lambda)
+                            _prox_grad_columns, cv_lambda)
 from .sieve_basis import BasisIndexSet, expand
+
+# the name each variant gives its coefficient matrix
+_COEF_NAME = {"linear": "P", "sieve": "Theta"}
 
 
 class FeatureMapModel:
-    """A fitted map from matched to mismatched features.
+    """A fitted map from matched to mismatched features, F(X) @ coef.
 
-    kind "linear" stores P of shape (p1, p2); kind "sieve" stores a
-    BasisIndexSet, a coefficient matrix Theta of shape (M, p2), and an
-    optional per-coordinate input scale applied before basis expansion.
-    fitted_on counts the proxies averaged into the model.
+    kind "linear" stores P = coef of shape (p1, p2), applied to X itself;
+    kind "sieve" stores a BasisIndexSet, Theta = coef of shape (M, p2),
+    and an optional per-coordinate input scale applied before basis
+    expansion. P and Theta read the coefficient matrix under the name of
+    its kind and are None for the other kind. fitted_on counts the
+    proxies averaged into the model.
     """
 
-    __slots__ = ("kind", "P", "basis", "Theta", "x_scale", "fitted_on",
+    __slots__ = ("kind", "coef", "basis", "x_scale", "fitted_on",
                  "ridge_tau", "rank_warning")
 
     def __init__(self, kind, P=None, basis=None, Theta=None, x_scale=None,
                  fitted_on=1, ridge_tau=0.0, rank_warning=False):
-        if kind == "linear":
-            P = np.asarray(P, dtype=float)
-            if P.ndim != 2:
-                raise DimensionError("P must be a 2-d matrix")
-            if not np.all(np.isfinite(P)):
-                raise InvalidValueError("P contains non-finite values")
-            basis = Theta = x_scale = None
-        elif kind == "sieve":
-            if not isinstance(basis, BasisIndexSet):
-                raise IncompatibleError("sieve map needs a BasisIndexSet")
-            Theta = np.asarray(Theta, dtype=float)
-            if Theta.ndim != 2 or Theta.shape[0] != len(basis):
-                raise DimensionError(
-                    f"Theta must have {len(basis)} rows, got {Theta.shape}")
-            if not np.all(np.isfinite(Theta)):
-                raise InvalidValueError("Theta contains non-finite values")
-            if x_scale is not None:
-                x_scale = np.asarray(x_scale, dtype=float)
-                if x_scale.shape != (basis.p1,):
-                    raise DimensionError(
-                        f"x_scale must have length {basis.p1}")
-                if np.any(x_scale <= 0):
-                    raise InvalidValueError("x_scale must be positive")
-            P = None
-        else:
+        if kind not in _COEF_NAME:
             raise ConfigError(f"unknown map kind {kind!r}")
+        name = _COEF_NAME[kind]
+        coef = np.asarray(P if kind == "linear" else Theta, dtype=float)
+        if coef.ndim != 2:
+            raise DimensionError(
+                f"{name} must be a 2-d matrix, got shape {coef.shape}")
+        _require_finite(coef, name)
+        if kind == "linear":
+            basis = x_scale = None
+        elif not isinstance(basis, BasisIndexSet):
+            raise IncompatibleError("sieve map needs a BasisIndexSet")
+        elif coef.shape[0] != len(basis):
+            raise DimensionError(
+                f"Theta must have {len(basis)} rows, got {coef.shape}")
+        elif x_scale is not None:
+            x_scale = np.asarray(x_scale, dtype=float)
+            if x_scale.shape != (basis.p1,):
+                raise DimensionError(f"x_scale must have length {basis.p1}")
+            if np.any(x_scale <= 0):
+                raise InvalidValueError("x_scale must be positive")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "Theta", Theta)
         object.__setattr__(self, "x_scale", x_scale)
         object.__setattr__(self, "fitted_on", int(fitted_on))
         object.__setattr__(self, "ridge_tau", float(ridge_tau))
@@ -78,22 +78,30 @@ class FeatureMapModel:
         raise AttributeError("FeatureMapModel is immutable")
 
     @property
+    def P(self):
+        return self.coef if self.kind == "linear" else None
+
+    @property
+    def Theta(self):
+        return self.coef if self.kind == "sieve" else None
+
+    @property
     def p1(self):
-        return self.P.shape[0] if self.kind == "linear" else self.basis.p1
+        return self.coef.shape[0] if self.basis is None else self.basis.p1
 
     @property
     def p2(self):
-        return (self.P if self.kind == "linear" else self.Theta).shape[1]
+        return self.coef.shape[1]
 
     def to_dict(self):
         d = {"variant": self.kind, "p1": self.p1, "p2": self.p2,
              "fitted_on": self.fitted_on, "ridge_tau": self.ridge_tau,
              "rank_warning": self.rank_warning}
         if self.kind == "linear":
-            d["P"] = self.P.tolist()
+            d["P"] = self.coef.tolist()
         else:
             d["basis"] = self.basis.to_dict()
-            d["Theta"] = self.Theta.tolist()
+            d["Theta"] = self.coef.tolist()
             d["x_scale"] = None if self.x_scale is None \
                 else self.x_scale.tolist()
         return d
@@ -183,57 +191,49 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
                            x_scale=x_scale)
 
 
-def _same_sieve_frame(a, b):
-    if a.basis.p1 != b.basis.p1 or a.basis.p1_prime != b.basis.p1_prime \
-            or a.basis.a != b.basis.a or a.basis.d_cap != b.basis.d_cap:
-        return False
-    sa, sb = a.x_scale, b.x_scale
-    if (sa is None) != (sb is None):
-        return False
-    return sa is None or np.array_equal(sa, sb)
+_FRAME_PARTS = ("variant", "input dimension", "output dimension",
+                "basis parameters", "input scale")
 
 
-def _pad_theta(m, M):
-    if m.Theta.shape[0] == M:
-        return m.Theta
-    out = np.zeros((M, m.Theta.shape[1]))
-    out[:m.Theta.shape[0]] = m.Theta
-    return out
+def _frame(m):
+    # what two maps must share for their coefficient rows to line up
+    b = m.basis
+    return (m.kind, m.p1, m.p2,
+            None if b is None else (b.p1_prime, b.a, b.d_cap),
+            None if m.x_scale is None else tuple(m.x_scale))
+
+
+def _padded_coefs(maps):
+    """Coefficient matrices of maps in one frame, zero-padded to the
+    largest truncation (a shorter sieve truncation is a prefix of a longer
+    one), and the map that has it."""
+    for part, values in zip(_FRAME_PARTS, zip(*map(_frame, maps))):
+        if len(set(values)) > 1:
+            raise IncompatibleError(f"maps differ in {part}")
+    widest = max(maps, key=lambda m: m.coef.shape[0])
+    M = widest.coef.shape[0]
+    return widest, [np.pad(m.coef, ((0, M - len(m.coef)), (0, 0)))
+                    for m in maps]
 
 
 def average_maps(maps):
-    """Entrywise mean of same-variant maps.
+    """Entrywise mean of maps in one frame.
 
-    Sieve maps must share (p1, p1_prime, a) and input scale; their Theta
-    matrices are zero-padded to the largest truncation before averaging,
-    which is well defined because the index ordering is deterministic.
+    The maps must share variant and dimensions, and sieve maps also
+    (p1_prime, a, d_cap) and input scale; sieve coefficient matrices are
+    zero-padded to the largest truncation before averaging.
     """
     maps = list(maps)
     if not maps:
         raise IncompatibleError("need at least one map")
-    kind = maps[0].kind
-    if any(m.kind != kind for m in maps):
-        raise IncompatibleError("cannot average maps of different variants")
-    if any(m.p2 != maps[0].p2 for m in maps):
-        raise IncompatibleError("maps have different output dimensions")
-    fitted = sum(m.fitted_on for m in maps)
-    if kind == "linear":
-        if any(m.P.shape != maps[0].P.shape for m in maps):
-            raise IncompatibleError("linear maps have different shapes")
-        P = np.mean([m.P for m in maps], axis=0)
-        tau = maps[0].ridge_tau if len({m.ridge_tau for m in maps}) == 1 \
-            else 0.0
-        return FeatureMapModel("linear", P=P, fitted_on=fitted,
-                               ridge_tau=tau,
-                               rank_warning=any(m.rank_warning for m in maps))
-    if any(not _same_sieve_frame(m, maps[0]) for m in maps):
-        raise IncompatibleError(
-            "sieve maps have mismatched basis parameters or input scale")
-    big = max(maps, key=lambda m: len(m.basis))
-    M = len(big.basis)
-    Theta = np.mean([_pad_theta(m, M) for m in maps], axis=0)
-    return FeatureMapModel("sieve", basis=big.basis, Theta=Theta,
-                           x_scale=big.x_scale, fitted_on=fitted)
+    widest, coefs = _padded_coefs(maps)
+    tau = maps[0].ridge_tau if len({m.ridge_tau for m in maps}) == 1 \
+        else 0.0
+    return FeatureMapModel(
+        widest.kind, basis=widest.basis, x_scale=widest.x_scale,
+        fitted_on=sum(m.fitted_on for m in maps), ridge_tau=tau,
+        rank_warning=any(m.rank_warning for m in maps),
+        **{_COEF_NAME[widest.kind]: np.mean(coefs, axis=0)})
 
 
 def impute(map_model, X, clamp_tol=0.0):
@@ -249,48 +249,36 @@ def impute(map_model, X, clamp_tol=0.0):
         raise DimensionError(
             f"X must be (n, {map_model.p1}), got shape {X.shape}")
     _require_finite(X, "X")
-    if map_model.kind == "linear":
-        return X @ map_model.P
+    if map_model.basis is not None:
+        X = expand(_within_support(map_model, X, clamp_tol), map_model.basis)
+    return X @ map_model.coef
+
+
+def _within_support(map_model, X, clamp_tol):
+    # rescale by x_scale, then clamp or reject entries beyond the support
     if map_model.x_scale is not None:
         X = X / map_model.x_scale
     a = map_model.basis.a
     over = np.abs(X) > a
-    if np.any(over):
-        worst = np.max(np.abs(X[over]))
-        if worst > a * (1.0 + clamp_tol):
-            i, k = np.argwhere(np.abs(X) > a * (1.0 + clamp_tol))[0]
-            raise SupportError(
-                f"entry ({i}, {k}) overshoots the support [-{a}, {a}] by "
-                f"more than {clamp_tol:.1%}")
-        warnings.warn(
-            f"{int(over.sum())} entr(ies) clamped to the support boundary",
-            UserWarning, stacklevel=2)
-        X = np.clip(X, -a, a)
-    return expand(X, map_model.basis) @ map_model.Theta
+    if not np.any(over):
+        return X
+    beyond = np.abs(X) > a * (1.0 + clamp_tol)
+    if np.any(beyond):
+        i, k = np.argwhere(beyond)[0]
+        raise SupportError(
+            f"entry ({i}, {k}) overshoots the support [-{a}, {a}] by "
+            f"more than {clamp_tol:.1%}")
+    warnings.warn(
+        f"{int(over.sum())} entr(ies) clamped to the support boundary",
+        UserWarning, stacklevel=3)
+    return np.clip(X, -a, a)
 
 
-def map_discrepancy(map_a, map_b, tol=1e-10, max_iters=10000):
+def map_discrepancy(map_a, map_b):
     """Largest singular value of the coefficient difference.
 
-    Computed by power iteration on the smaller of Delta'Delta and
-    Delta Delta'. Sieve pairs with different truncation are zero-padded
-    like average_maps.
+    Sieve pairs with different truncation are zero-padded like
+    average_maps.
     """
-    if map_a.kind != map_b.kind:
-        raise IncompatibleError("cannot compare maps of different variants")
-    if map_a.p2 != map_b.p2:
-        raise IncompatibleError("maps have different output dimensions")
-    if map_a.kind == "linear":
-        if map_a.P.shape != map_b.P.shape:
-            raise IncompatibleError("linear maps have different shapes")
-        delta = map_a.P - map_b.P
-    else:
-        if not _same_sieve_frame(map_a, map_b):
-            raise IncompatibleError(
-                "sieve maps have mismatched basis parameters or input scale")
-        M = max(map_a.Theta.shape[0], map_b.Theta.shape[0])
-        delta = _pad_theta(map_a, M) - _pad_theta(map_b, M)
-    A = delta.T @ delta if delta.shape[0] >= delta.shape[1] \
-        else delta @ delta.T
-    lam = _top_eigenvalue(A.__matmul__, A.shape[0], max_iters, tol)
-    return float(np.sqrt(max(lam, 0.0)))
+    _, (a, b) = _padded_coefs([map_a, map_b])
+    return float(np.linalg.norm(a - b, 2))

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, InvalidValueError
+from .core import ConfigError, DimensionError, _require_finite
 
 
 _GAP_TOL = 1e-10  # duality gap that certifies a solve, relative to P(0)
@@ -65,10 +65,8 @@ def _check_design(D, v, dname="D", vname="r"):
     if v.ndim != 1 or v.shape[0] != D.shape[0]:
         raise DimensionError(
             f"{vname} must be 1-d with {D.shape[0]} entries")
-    if not np.all(np.isfinite(D)):
-        raise InvalidValueError(f"{dname} contains non-finite values")
-    if not np.all(np.isfinite(v)):
-        raise InvalidValueError(f"{vname} contains non-finite values")
+    _require_finite(D, dname)
+    _require_finite(v, vname)
     return D, v
 
 
@@ -134,19 +132,19 @@ def _coldot(X, Y):
     return np.einsum("ij,ij->j", X, Y)
 
 
-def _top_eigenvalue(apply_A, p, max_iters=_POWER_ITERS, tol=0.0):
+def _top_eigenvalue(apply_A, p):
     """Top eigenvalue of a PSD operator by power iteration, from below;
-    stops after max_iters steps or a relative move of at most tol."""
+    stops after _POWER_ITERS steps or once an estimate repeats exactly."""
     v = np.random.default_rng(0).standard_normal(p)
     v /= np.linalg.norm(v)
     top = 0.0
-    for _ in range(max_iters):
+    for _ in range(_POWER_ITERS):
         w = apply_A(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         new, v = float(v @ w), w / norm
-        if abs(new - top) <= tol * max(1.0, abs(new)):
+        if new == top:
             return new
         top = new
     return top

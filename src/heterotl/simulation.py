@@ -178,8 +178,45 @@ def _bivariate(rng, n, scale):
     return scale * (z @ chol.T)
 
 
-def _responses(X, Z, coef, eps, p1):
-    return X @ coef[:p1] + Z @ coef[p1:] + eps
+def _draw_scenario(config, rep_seed, proxy_x, target_x, draw_maps):
+    """One replication from its seeded streams, the same way for both designs.
+
+    proxy_x and target_x draw (n, p1) matched rows from a stream; the
+    target's law also serves the test set. draw_maps takes the truth
+    stream and returns the target's map mean, the K proxies' map means
+    (each a function of X, broadcast against the (n, p2) map noise) and
+    the true target map for the truth record. The contrasts follow on the
+    truth stream. In each domain's stream X comes first, then the map
+    noise, then the bivariate errors: proxies take their second marginal,
+    target and test the first. Target and test Z are withheld to the
+    truth record.
+    """
+    p1, p2 = config.p1, config.p2
+    rngs = _streams(rep_seed, config.K)
+    target_mean, proxy_means, true_map = draw_maps(rngs[0])
+    beta_star = gen_beta_star(p1 + p2, config.scenario)
+    deltas = [config.delta_scale
+              * _delta_blocks(rngs[0], p1, p2, config.delta_sparse,
+                              config.sparse_total)
+              for _ in range(config.K)]
+
+    def domain(rng, n, draw_x, mean, coef, eps_col):
+        X = draw_x(rng, n)
+        Z = mean(X) + config.map_noise_scale * rng.standard_normal((n, p2))
+        eps = _bivariate(rng, n, config.model_noise_scale)[:, eps_col]
+        return X, X @ coef[:p1] + Z @ coef[p1:] + eps, Z
+
+    proxies = [Dataset(*domain(rngs[1 + k], config.n_p, proxy_x,
+                               proxy_means[k], beta_star - deltas[k], 1))
+               for k in range(config.K)]
+    X_t, y_t, Z_t = domain(rngs[config.K + 1], config.n_t, target_x,
+                           target_mean, beta_star, 0)
+    X_te, y_te, Z_te = domain(rngs[config.K + 2], config.n_test, target_x,
+                              target_mean, beta_star, 0)
+    truth = TruthRecord(beta_star, deltas, true_map_target=true_map,
+                        z_target=Z_t, z_test=Z_te)
+    return SimScenario(proxies, Dataset(X_t, y_t), Dataset(X_te, y_te),
+                       truth)
 
 
 def gen_linear_scenario(config, rep_seed):
@@ -194,51 +231,19 @@ def gen_linear_scenario(config, rep_seed):
     generated but withheld to the truth record.
     """
     p1, p2 = config.p1, config.p2
-    p = p1 + p2
-    rngs = _streams(rep_seed, config.K)
-    truth_rng = rngs[0]
 
-    beta_star = gen_beta_star(p, "linear")
-    P_t = 10.0 * truth_rng.beta(10.0, 10.0, size=(p1, p2))
-    P_k = [P_t + config.map_perturb_scale
-           * ((truth_rng.beta(4.0, 4.0, size=(p1, p2)) - 0.5) / 3.0)
-           for _ in range(config.K)]
-    deltas = [config.delta_scale
-              * _delta_blocks(truth_rng, p1, p2, config.delta_sparse,
-                              config.sparse_total)
-              for _ in range(config.K)]
-
-    proxies = []
-    for k in range(config.K):
-        rng = rngs[1 + k]
-        X = rng.standard_normal((config.n_p, p1))
-        xi = config.map_noise_scale * rng.standard_normal((config.n_p, p2))
-        Z = X @ P_k[k] + xi
-        eps = _bivariate(rng, config.n_p, config.model_noise_scale)[:, 1]
-        y = _responses(X, Z, beta_star - deltas[k], eps, p1)
-        proxies.append(Dataset(X, y, Z))
+    def draw_maps(rng):
+        P_t = 10.0 * rng.beta(10.0, 10.0, size=(p1, p2))
+        P_k = [P_t + config.map_perturb_scale
+               * ((rng.beta(4.0, 4.0, size=(p1, p2)) - 0.5) / 3.0)
+               for _ in range(config.K)]
+        return (lambda X: X @ P_t, [lambda X, P=P: X @ P for P in P_k],
+                FeatureMapModel("linear", P=P_t))
 
     width = np.sqrt(12.0)
-    rng = rngs[config.K + 1]
-    X_t = rng.uniform(0.0, width, size=(config.n_t, p1))
-    xi = config.map_noise_scale * rng.standard_normal((config.n_t, p2))
-    Z_t = X_t @ P_t + xi
-    eps = _bivariate(rng, config.n_t, config.model_noise_scale)[:, 0]
-    target = Dataset(X_t, _responses(X_t, Z_t, beta_star, eps, p1))
-
-    rng = rngs[config.K + 2]
-    X_te = rng.uniform(0.0, width, size=(config.n_test, p1))
-    xi = config.map_noise_scale * rng.standard_normal((config.n_test, p2))
-    Z_te = X_te @ P_t + xi
-    eps = _bivariate(rng, config.n_test, config.model_noise_scale)[:, 0]
-    test = Dataset(X_te, _responses(X_te, Z_te, beta_star, eps, p1))
-
-    truth = TruthRecord(
-        beta_star, deltas,
-        true_map_target=FeatureMapModel("linear", P=P_t),
-        true_map_proxies=[FeatureMapModel("linear", P=Pk) for Pk in P_k],
-        z_target=Z_t, z_test=Z_te)
-    return SimScenario(proxies, target, test, truth)
+    return _draw_scenario(
+        config, rep_seed, lambda rng, n: rng.standard_normal((n, p1)),
+        lambda rng, n: rng.uniform(0.0, width, size=(n, p1)), draw_maps)
 
 
 def _h_values(X):
@@ -260,51 +265,19 @@ def gen_nonlinear_scenario(config, rep_seed):
     rest matches the linear design: contrasts on proxy coefficients,
     bivariate errors, withheld target and test Z.
     """
-    p1, p2 = config.p1, config.p2
-    p = p1 + p2
-    if p1 < 5:
-        raise ConfigError(f"nonlinear scenario needs p1 >= 5, got {p1}")
-    rngs = _streams(rep_seed, config.K)
-    truth_rng = rngs[0]
+    def target_mean(X):
+        return _h_values(X)[:, None]
 
-    beta_star = gen_beta_star(p, "nonlinear")
-    deltas = [config.delta_scale
-              * _delta_blocks(truth_rng, p1, p2, config.delta_sparse,
-                              config.sparse_total)
-              for _ in range(config.K)]
-
-    def tiled(h):
-        return np.repeat(h[:, None], p2, axis=1)
-
-    proxies = []
-    for k in range(config.K):
-        rng = rngs[1 + k]
-        X = rng.uniform(-2.0, 2.0, size=(config.n_p, p1))
+    def proxy_mean(X):
         h = _h_values(X)
-        h_prox = h + config.map_perturb_scale * np.sin(h)
-        xi = config.map_noise_scale * rng.standard_normal((config.n_p, p2))
-        Z = tiled(h_prox) + xi
-        eps = _bivariate(rng, config.n_p, config.model_noise_scale)[:, 1]
-        y = _responses(X, Z, beta_star - deltas[k], eps, p1)
-        proxies.append(Dataset(X, y, Z))
+        return (h + config.map_perturb_scale * np.sin(h))[:, None]
 
-    rng = rngs[config.K + 1]
-    X_t = rng.uniform(-2.0, 2.0, size=(config.n_t, p1))
-    xi = config.map_noise_scale * rng.standard_normal((config.n_t, p2))
-    Z_t = tiled(_h_values(X_t)) + xi
-    eps = _bivariate(rng, config.n_t, config.model_noise_scale)[:, 0]
-    target = Dataset(X_t, _responses(X_t, Z_t, beta_star, eps, p1))
+    def draw_x(rng, n):
+        return rng.uniform(-2.0, 2.0, size=(n, config.p1))
 
-    rng = rngs[config.K + 2]
-    X_te = rng.uniform(-2.0, 2.0, size=(config.n_test, p1))
-    xi = config.map_noise_scale * rng.standard_normal((config.n_test, p2))
-    Z_te = tiled(_h_values(X_te)) + xi
-    eps = _bivariate(rng, config.n_test, config.model_noise_scale)[:, 0]
-    test = Dataset(X_te, _responses(X_te, Z_te, beta_star, eps, p1))
-
-    truth = TruthRecord(beta_star, deltas, true_map_target=None,
-                        true_map_proxies=None, z_target=Z_t, z_test=Z_te)
-    return SimScenario(proxies, target, test, truth)
+    return _draw_scenario(
+        config, rep_seed, draw_x, draw_x,
+        lambda rng: (target_mean, [proxy_mean] * config.K, None))
 
 
 def gen_scenario(config, rep_seed):

@@ -10,6 +10,11 @@ module-level binding, and their counter reads the shape of the (n, M)
 result. perfbench/workload.py times fits by replacing
 simulation.fit_htl. The table is read from the source, without importing
 the benchmark.
+
+perfbench/workload.py also builds its inputs from the simulation module
+(gen_linear_scenario, rep_seed_for, SimConfig keywords), reads
+MetricsReport rows, failures and CSV text, and reads a saved model's
+JSON. Its output digests hold only while the scenarios' draw order holds.
 """
 
 import ast
@@ -23,8 +28,12 @@ import numpy as np
 import heterotl.feature_map
 import heterotl.sieve_basis
 import heterotl.simulation
-from heterotl import penalized_reg
+from heterotl import cli, penalized_reg
+from heterotl.core import Dataset, write_dataset_csv
 from heterotl.penalized_reg import LassoSettings, SolveDiagnostics
+from heterotl.simulation import (SimConfig, _streams, gen_linear_scenario,
+                                 gen_nonlinear_scenario, rep_seed_for,
+                                 run_replications)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -82,3 +91,77 @@ def test_lasso_with_offset_diagnostics_serialize_strictly():
         assert type(diag.converged) is bool
         assert np.isfinite([diag.max_kkt_violation, diag.objective]).all()
         json.dumps(diag.to_dict(), allow_nan=False)
+
+
+# the SimConfig keywords perfbench/workload.py passes, at small sizes
+_WORKLOAD_CONFIG = dict(scenario="linear", K=2, n_p=100, n_t=20, p1=5,
+                        p2=5, n_test=20, reps=1, seed=0, max_iters=100,
+                        lambda_policy="fixed", lambda_value=0.5)
+
+
+def test_workload_scenario_inputs():
+    seed = rep_seed_for(20290, 3) ^ rep_seed_for(0, 0)
+    assert isinstance(seed, int) and 0 <= seed < 2 ** 64
+    config = SimConfig(**_WORKLOAD_CONFIG)
+    scen = gen_linear_scenario(config, 2)
+    assert len(scen.proxies) == 2
+    for pr in scen.proxies:
+        assert isinstance(pr, Dataset)
+        assert (pr.x.shape, pr.z.shape, pr.y.shape) == \
+            ((100, 5), (100, 5), (100,))
+    assert scen.target.x.shape == (20, 5)
+    assert scen.target.y.shape == (20,)
+    assert scen.test.x.shape == (20, 5)
+
+
+def test_workload_report_layout():
+    report = run_replications(SimConfig(**_WORKLOAD_CONFIG))
+    assert report.failures == []
+    assert [row[1] for row in report.rows] == \
+        ["htl", "homogeneous", "target_lasso", "oracle"]
+    for rep, method, mape, rmse, l1 in report.rows:
+        assert rep == 0 and isinstance(method, str)
+        assert 0.0 <= mape <= rmse and l1 >= 0.0
+    lines = report.to_csv_text().splitlines()
+    assert lines[0] == "rep,method,map,rmse,l1_err_beta1"
+    assert len(lines) == 1 + len(report.rows)
+
+
+def test_workload_model_json_keys(tmp_path):
+    scen = gen_linear_scenario(SimConfig(**_WORKLOAD_CONFIG), 2)
+    proxy, target = tmp_path / "p.csv", tmp_path / "t.csv"
+    write_dataset_csv(str(proxy), scen.proxies[0])
+    write_dataset_csv(str(target), scen.target)
+    out = tmp_path / "m.json"
+    assert cli.main(["fit", "--proxy", str(proxy), "--target", str(target),
+                     "--lambda", "cv", "--out", str(out)]) == 0
+    model = json.loads(out.read_text())
+    fit = model["fit"]
+    assert len(fit["beta_hat"]) == len(fit["omega_hat"]) == 10
+    assert isinstance(fit["lambda"], float)
+    assert np.array(model["map"]["P"]).shape == (5, 5)
+    assert model["diagnostics"]["converged"] is True
+
+
+def test_scenario_draw_order():
+    # per domain stream the matched rows come first; the streams run
+    # truth, proxies, target, test
+    def normal(rng, n):
+        return rng.standard_normal((n, 5))
+
+    def shifted(rng, n):
+        return rng.uniform(0.0, np.sqrt(12.0), size=(n, 5))
+
+    def centred(rng, n):
+        return rng.uniform(-2.0, 2.0, size=(n, 5))
+
+    for scenario, gen, proxy_x, target_x in (
+            ("linear", gen_linear_scenario, normal, shifted),
+            ("nonlinear", gen_nonlinear_scenario, centred, centred)):
+        config = SimConfig(**dict(_WORKLOAD_CONFIG, scenario=scenario))
+        scen = gen(config, 77)
+        rngs = _streams(77, config.K)
+        for k, pr in enumerate(scen.proxies):
+            assert np.array_equal(proxy_x(rngs[1 + k], 100), pr.x)
+        assert np.array_equal(target_x(rngs[3], 20), scen.target.x)
+        assert np.array_equal(target_x(rngs[4], 20), scen.test.x)

@@ -293,3 +293,120 @@ def test_version_exits_clean(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "heterotl" in out
+
+
+def _fit_with_config(tmp_path, config, flags=()):
+    proxy, target = _toy_files(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "m.json"
+    rc = cli.main(["fit", "--target", target, "--out", str(out),
+                   "--config", str(cfg)] + list(flags)
+                  + ([] if "proxy" in config else ["--proxy", proxy]))
+    return rc, out, proxy
+
+
+@pytest.mark.parametrize("config,key", [
+    ({"ridge": "abc"}, "ridge"),
+    ({"folds": "x"}, "folds"),
+    ({"max-iters": 2.5}, "max-iters"),
+    ({"max-iters": True}, "max-iters"),
+    ({"center": "false"}, "center"),
+    ({"center": 1}, "center"),
+    ({"map": "cubic"}, "map"),
+    ({"target": ["t.csv"]}, "target"),
+])
+def test_config_value_parsed_like_its_flag(tmp_path, capsys, config, key):
+    rc, out, _ = _fit_with_config(tmp_path, dict(config, lam=0.5))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "usage:" in err
+    assert repr(key) in err
+    assert not out.exists()
+
+
+def test_simulate_config_value_parsed_like_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_p": "abc"}))
+    rc = cli.main(_simulate_args(str(tmp_path / "o"))
+                  + ["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "'n_p'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_values_take_flag_types(tmp_path):
+    # text a flag would accept, JSON switches, and null for "unset"
+    rc, out, _ = _fit_with_config(tmp_path, {
+        "lambda": "0.5", "max-iters": "5000", "tol": 1e-9,
+        "center": False, "budget": None})
+    assert rc == 0
+    config = json.loads(out.read_text())["manifest"]["config"]
+    assert config["max_iters"] == 5000
+    assert config["tol"] == 1e-9
+    assert config["center"] is False
+    assert config["budget"] is None
+    rc, out, _ = _fit_with_config(tmp_path, {"lam": 0.5, "center": True})
+    assert rc == 0
+    assert json.loads(out.read_text())["manifest"]["config"]["center"]
+
+
+def test_config_proxy_string_is_one_path(tmp_path):
+    proxy, _ = _toy_files(tmp_path)
+    for value in (proxy, [proxy]):
+        rc, out, _ = _fit_with_config(tmp_path, {"proxy": value, "lam": 0.5})
+        assert rc == 0
+        manifest = json.loads(out.read_text())["manifest"]
+        assert manifest["config"]["proxy"] == [proxy]
+        assert list(manifest["input_digests"])[0] == proxy
+
+
+def _simulate_with_config(tmp_path, config, flags=()):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--config", str(cfg), "--out", str(out)]
+                  + list(flags))
+    if rc != 0:
+        return rc, None
+    return rc, json.loads((out / "manifest.json").read_text())["config"]
+
+
+_SMALL_SIM = {"K": 1, "n-p": 60, "n-t": 20, "n-test": 20, "p1": 5,
+              "p2": 4, "reps": 1, "lambda-policy": "fixed",
+              "lambda-value": 0.5}
+
+
+def test_config_switch_keys(tmp_path):
+    for key, value, sparse in (("dense-delta", True, False),
+                               ("dense_delta", False, True),
+                               ("delta-sparse", False, False),
+                               ("delta_sparse", True, True)):
+        rc, config = _simulate_with_config(
+            tmp_path, dict(_SMALL_SIM, scenario="linear", **{key: value}))
+        assert rc == 0
+        assert config["delta_sparse"] is sparse
+    # the flag still wins over the file
+    rc, config = _simulate_with_config(
+        tmp_path, dict(_SMALL_SIM, scenario="linear", delta_sparse=True),
+        ["--dense-delta"])
+    assert rc == 0
+    assert config["delta_sparse"] is False
+
+
+def test_config_preset_applies_like_the_flag(tmp_path, capsys):
+    rc, config = _simulate_with_config(tmp_path,
+                                       dict(_SMALL_SIM, preset="fig5"))
+    assert rc == 0
+    assert config["scenario"] == "nonlinear"
+    assert config["n_p"] == 60
+    rc, config = _simulate_with_config(
+        tmp_path, dict(_SMALL_SIM, preset="fig5"), ["--preset", "fig1"])
+    assert rc == 0
+    assert config["scenario"] == "linear"
+    capsys.readouterr()
+    rc, _ = _simulate_with_config(tmp_path, dict(_SMALL_SIM, preset="fig9"))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "'preset'" in err

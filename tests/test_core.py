@@ -175,7 +175,7 @@ def test_tlfit_validation():
 
 def test_truth_record_sparsity_counts():
     deltas = [np.array([0.0, 1.0, 0.0, -2.0]), np.zeros(4)]
-    rec = TruthRecord(np.ones(4), deltas, None, None)
+    rec = TruthRecord(np.ones(4), deltas, None)
     assert rec.sparsity_s_delta == [2, 0]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heterotl import penalized_reg
-from heterotl.core import ConfigError, DimensionError
+from heterotl.core import ConfigError, DimensionError, InvalidValueError
 from heterotl.estimators import fit_proxy_coefficients
 from heterotl.feature_map import average_maps, fit_linear_map, impute
 from heterotl.penalized_reg import (LassoSettings, _gram_ok, _lasso_path,
@@ -161,6 +161,18 @@ def test_lasso_validation():
         LassoSettings(tol=0.0)
     with pytest.raises(ConfigError):
         LassoSettings(max_iters=0)
+
+
+def test_lasso_names_non_finite_entry():
+    D, y, _ = _instance(13)
+    bad_D = D.copy()
+    bad_D[2, 1] = np.nan
+    with pytest.raises(InvalidValueError, match=r"D entry \(2, 1\) = nan"):
+        lasso(bad_D, y, 0.1)
+    bad_y = y.copy()
+    bad_y[3] = -np.inf
+    with pytest.raises(InvalidValueError, match=r"r entry \(3\) = -inf"):
+        lasso(D, bad_y, 0.1)
 
 
 def _forbid_fallback(monkeypatch):
