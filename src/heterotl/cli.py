@@ -1,17 +1,23 @@
-"""Command-line front end.
+"""Command-line front end, a thin shell over the library.
 
 Subcommands: fit (train a transfer model from proxy and target CSVs),
 predict (apply a saved model to new matched covariates), simulate (run
 the benchmark scenarios), bootstrap (resample the target sample and refit
-while the proxy side stays fixed). Every flag has a config-file
-equivalent: --config names a JSON object whose keys are the long flag
+while the proxy side stays fixed). Each option is stored under the name
+of the library keyword it sets (--map sets map_kind, --folds cv_folds),
+an option left unset takes that keyword's default (fit_htl's and
+LassoSettings' for fit and bootstrap, SimConfig's for simulate), and the
+library checks every value. Every flag has a config-file equivalent:
+--config names a JSON object whose keys are long flag names or option
 names, each value parsed by its flag's rule; explicit flags win over the
-file, the file wins over presets and built-in defaults. Exit codes: 0
-success, 2 bad arguments, 3 data error, 4 solver non-convergence.
+file, the file wins over presets and the library's defaults. A switch
+can be set both ways (--center, --no-center). Exit codes: 0 success,
+2 bad arguments, 3 data error, 4 solver non-convergence.
 """
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -20,7 +26,8 @@ import time
 from . import __version__
 from .core import (CapacityError, ConfigError, ConvergenceError, DataError,
                    DimensionError, IncompatibleError, InvalidValueError,
-                   SupportError, read_dataset_csv, read_x_csv, write_atomic)
+                   SupportError, _dataset_header, read_dataset_csv,
+                   read_x_csv, write_atomic)
 from .estimators import (bootstrap_refit, fit_htl, load_model, predict,
                          save_model)
 from .penalized_reg import LassoSettings
@@ -36,27 +43,6 @@ _PRESETS = {
              "p1": 20, "p2": 20, "reps": 50, "delta_sparse": True},
     "custom": {},
 }
-
-_FIT_DEFAULTS = {
-    "proxy": None, "target": None, "out": None, "map": "linear",
-    "lam": "cv", "ridge": 0.0, "gamma": "auto", "c_gamma": 1.0,
-    "p1_prime": 1, "budget": None, "d_cap": 64, "clamp_tol": 0.01,
-    "center": False, "folds": 5, "cv_seed": 0, "tol": 1e-9,
-    "max_iters": 10000,
-}
-
-_SIM_DEFAULTS = {
-    "scenario": None, "preset": "custom", "out": None, "K": 2,
-    "n_p": 1000, "n_t": 50, "n_test": 200, "p1": 20, "p2": 20,
-    "reps": 10, "seed": 0, "delta_sparse": True, "sparse_total": False,
-    "lambda_policy": "cv", "lambda_value": None, "map": None,
-    "delta_scale": 1.0, "map_noise": 1.0, "model_noise": 1.0,
-    "map_perturb": 1.0, "ridge": 0.0, "gamma": "auto", "c_gamma": 1.0,
-    "p1_prime": 1, "budget": None, "d_cap": 64, "clamp_tol": 0.01,
-    "folds": 5, "tol": 1e-7, "max_iters": 3000,
-}
-
-_BOOT_DEFAULTS = dict(_FIT_DEFAULTS, B=None, seed=0)
 
 
 def _sha256_file(path):
@@ -113,24 +99,23 @@ def _config_value(key, action, value):
     return out
 
 
-def _config_file_options(args, defaults):
+def _config_file_options(args, names):
     """The --config file's values by option name.
 
     A key is a long flag name or the name of the option it sets (lam,
-    delta-sparse), spelled with - or _. A null leaves the option unset.
-    A switch named by its flag sets the value the flag sets when true
-    (dense-delta: true turns delta_sparse off).
+    map_kind), spelled with - or _. A null leaves the option unset. A
+    switch named by one of its flags takes, when true, the value that
+    flag sets, and the other value when false: dense-delta and no-center
+    set to true both turn their option off.
     """
     actions = args.parser._actions
-    by_flag = {s[2:]: a for a in actions for s in a.option_strings}
-    by_dest = {a.dest: a for a in actions}
+    by_flag = {s[2:]: (a, s) for a in actions for s in a.option_strings}
+    by_dest = {a.dest: (a, None) for a in actions}
     out = {}
     for key, value in _load_config_file(args.config).items():
-        action = by_flag.get(key.replace("_", "-"))
-        named_flag = action is not None
-        if not named_flag:
-            action = by_dest.get(key.replace("-", "_"))
-        if action is None or action.dest not in defaults:
+        action, flag = by_flag.get(key.replace("_", "-")) or by_dest.get(
+            key.replace("-", "_"), (None, None))
+        if action is None or action.dest not in names:
             raise ConfigError(f"unknown config key {key!r}")
         if value is None:
             continue
@@ -141,19 +126,41 @@ def _config_file_options(args, defaults):
             value = [_config_value(key, action, v) for v in value]
         else:
             value = _config_value(key, action, value)
-            if named_flag and action.const is False:
-                value = not value
+            if flag is not None and action.nargs == 0:
+                sets = (not flag.startswith("--no-")
+                        if isinstance(action, argparse.BooleanOptionalAction)
+                        else action.const)
+                value = value == sets
         out[action.dest] = value
     return out
 
 
-def _merged_options(args, defaults, presets=None):
-    """Explicit flags over the config file over the preset (named by
-    flag or file) over built-in defaults."""
-    from_file = _config_file_options(args, defaults) if args.config else {}
-    flags = {attr: getattr(args, attr) for attr in defaults
-             if getattr(args, attr, None) is not None}
-    out = dict(defaults)
+def _keyword_defaults(call):
+    """The keyword parameters of a function, or the fields of a
+    dataclass, that have a default, with that default."""
+    return {name: p.default
+            for name, p in inspect.signature(call).parameters.items()
+            if p.default is not p.empty}
+
+
+def _keywords(call, opts):
+    """The options that set a keyword of call, by name."""
+    return {name: opts[name] for name in _keyword_defaults(call)
+            if name in opts}
+
+
+def _options(args, *library, presets=None):
+    """Every option of the subcommand by name: explicit flags over the
+    config file over the preset (named by flag or file) over the defaults
+    of the library calls' keywords, None for an option no call takes."""
+    defaults = {}
+    for call in library:
+        defaults.update(_keyword_defaults(call))
+    out = {a.dest: defaults.get(a.dest) for a in args.parser._actions
+           if a.dest not in ("help", "config")}
+    from_file = _config_file_options(args, out) if args.config else {}
+    flags = {name: getattr(args, name) for name in out
+             if getattr(args, name) is not None}
     if presets is not None:
         out.update(presets[flags.get("preset",
                                      from_file.get("preset", "custom"))])
@@ -162,37 +169,12 @@ def _merged_options(args, defaults, presets=None):
     return out
 
 
-def _require(opts, keys):
-    for key in keys:
-        if opts.get(key) is None:
-            flag = "--" + {"lam": "lambda"}.get(key, key.replace("_", "-"))
+def _require(args, opts, names):
+    for name in names:
+        if opts[name] is None or opts[name] == []:
+            flag = next(a.option_strings[0] for a in args.parser._actions
+                        if a.dest == name)
             raise ConfigError(f"missing required argument {flag}")
-
-
-def _parse_lambda(value):
-    if value == "cv":
-        return "cv"
-    try:
-        lam = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--lambda must be 'cv' or a number, "
-                          f"got {value!r}")
-    if lam < 0:
-        raise ConfigError(f"--lambda must be >= 0, got {lam}")
-    return lam
-
-
-def _parse_gamma(value):
-    if value in ("auto", "cv"):
-        return value
-    try:
-        gamma = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--gamma must be 'auto', 'cv' or a number, "
-                          f"got {value!r}")
-    if gamma < 0:
-        raise ConfigError(f"--gamma must be >= 0, got {gamma}")
-    return gamma
 
 
 def _load_training_data(opts):
@@ -204,27 +186,18 @@ def _load_training_data(opts):
 
 
 def _fit_kwargs(opts):
-    settings = LassoSettings(max_iters=opts["max_iters"], tol=opts["tol"])
-    return {
-        "map_kind": opts["map"], "lam": _parse_lambda(opts["lam"]),
-        "settings": settings, "ridge_tau": opts["ridge"],
-        "gamma": _parse_gamma(opts["gamma"]), "c_gamma": opts["c_gamma"],
-        "p1_prime": opts["p1_prime"], "budget": opts["budget"],
-        "d_cap": opts["d_cap"], "clamp_tol": opts["clamp_tol"],
-        "center": opts["center"], "cv_folds": opts["folds"],
-        "cv_seed": opts["cv_seed"],
-    }
+    return dict(_keywords(fit_htl, opts),
+                settings=LassoSettings(**_keywords(LassoSettings, opts)))
 
 
 def cmd_fit(args):
-    opts = _merged_options(args, _FIT_DEFAULTS)
-    _require(opts, ("proxy", "target", "out"))
+    opts = _options(args, fit_htl, LassoSettings)
+    _require(args, opts, ("proxy", "target", "out"))
     started = time.perf_counter()
     proxies, target = _load_training_data(opts)
     model = fit_htl(proxies, target, **_fit_kwargs(opts))
     elapsed = time.perf_counter() - started
-    snapshot = {k: opts[k] for k in _FIT_DEFAULTS}
-    manifest = _manifest("fit", snapshot, opts["cv_seed"],
+    manifest = _manifest("fit", opts, opts["cv_seed"],
                          list(opts["proxy"]) + [opts["target"]],
                          {"total_s": elapsed})
     save_model(opts["out"], model, manifest)
@@ -233,9 +206,8 @@ def cmd_fit(args):
 
 
 def cmd_predict(args):
-    opts = _merged_options(args, {"model": None, "data": None, "out": None,
-                                  "config": None})
-    _require(opts, ("model", "data", "out"))
+    opts = _options(args)
+    _require(args, opts, ("model", "data", "out"))
     started = time.perf_counter()
     try:
         model = load_model(opts["model"])
@@ -245,8 +217,7 @@ def cmd_predict(args):
     yhat = predict(model, X)
     lines = ["yhat"] + [repr(float(v)) for v in yhat]
     write_atomic(opts["out"], "\n".join(lines) + "\n")
-    manifest = _manifest("predict", {k: opts[k] for k in
-                                     ("model", "data", "out")}, None,
+    manifest = _manifest("predict", opts, None,
                          [opts["model"], opts["data"]],
                          {"total_s": time.perf_counter() - started})
     write_atomic(opts["out"] + ".manifest.json",
@@ -255,29 +226,10 @@ def cmd_predict(args):
     return 0
 
 
-def _sim_config(opts):
-    return SimConfig(
-        scenario=opts["scenario"], K=opts["K"], n_p=opts["n_p"],
-        n_t=opts["n_t"], p1=opts["p1"], p2=opts["p2"], reps=opts["reps"],
-        seed=opts["seed"], n_test=opts["n_test"],
-        delta_sparse=opts["delta_sparse"],
-        sparse_total=opts["sparse_total"],
-        lambda_policy=opts["lambda_policy"],
-        lambda_value=opts["lambda_value"], map_kind=opts["map"],
-        delta_scale=opts["delta_scale"], map_noise_scale=opts["map_noise"],
-        model_noise_scale=opts["model_noise"],
-        map_perturb_scale=opts["map_perturb"], ridge_tau=opts["ridge"],
-        gamma=_parse_gamma(opts["gamma"]), c_gamma=opts["c_gamma"],
-        p1_prime=opts["p1_prime"], budget=opts["budget"],
-        d_cap=opts["d_cap"], clamp_tol=opts["clamp_tol"],
-        cv_folds=opts["folds"], tol=opts["tol"],
-        max_iters=opts["max_iters"])
-
-
 def cmd_simulate(args):
-    opts = _merged_options(args, _SIM_DEFAULTS, _PRESETS)
-    _require(opts, ("scenario", "out"))
-    config = _sim_config(opts)
+    opts = _options(args, SimConfig, presets=_PRESETS)
+    _require(args, opts, ("scenario", "out"))
+    config = SimConfig(opts["scenario"], **_keywords(SimConfig, opts))
     started = time.perf_counter()
     report = run_replications(config)
     elapsed = time.perf_counter() - started
@@ -302,24 +254,18 @@ def cmd_simulate(args):
 
 
 def cmd_bootstrap(args):
-    opts = _merged_options(args, _BOOT_DEFAULTS)
-    _require(opts, ("proxy", "target", "out", "B"))
-    B = opts["B"]
-    if B < 1:
-        raise ConfigError(f"--B must be >= 1, got {B}")
+    opts = _options(args, fit_htl, LassoSettings, bootstrap_refit)
+    _require(args, opts, ("proxy", "target", "out", "B"))
     started = time.perf_counter()
     proxies, target = _load_training_data(opts)
-    draws = bootstrap_refit(proxies, target, B, opts["seed"],
+    draws = bootstrap_refit(proxies, target, opts["B"], opts["seed"],
                             **_fit_kwargs(opts))
-    p1 = proxies[0].p1
-    lines = ["b,coef,value"]
-    for b in range(B):
-        for j, value in enumerate(draws[b]):
-            name = f"x{j + 1}" if j < p1 else f"z{j - p1 + 1}"
-            lines.append(f"{b},{name},{repr(float(value))}")
+    names = _dataset_header(proxies[0].p1, proxies[0].p2)[:-1]
+    lines = ["b,coef,value"] + [f"{b},{name},{repr(float(value))}"
+                                for b, row in enumerate(draws)
+                                for name, value in zip(names, row)]
     write_atomic(opts["out"], "\n".join(lines) + "\n")
-    snapshot = {k: opts[k] for k in _BOOT_DEFAULTS}
-    manifest = _manifest("bootstrap", snapshot, opts["seed"],
+    manifest = _manifest("bootstrap", opts, opts["seed"],
                          list(opts["proxy"]) + [opts["target"]],
                          {"total_s": time.perf_counter() - started})
     write_atomic(opts["out"] + ".manifest.json",
@@ -328,14 +274,10 @@ def cmd_bootstrap(args):
     return 0
 
 
-def _add_fit_options(sub):
-    sub.add_argument("--proxy", action="append",
-                     help="proxy CSV, repeat once per proxy dataset")
-    sub.add_argument("--target", help="target CSV (x columns and y)")
-    sub.add_argument("--map", choices=("linear", "sieve"))
-    sub.add_argument("--lambda", dest="lam",
-                     help="penalty level: 'cv' or a number")
-    sub.add_argument("--ridge", type=float,
+def _add_model_options(sub):
+    """The feature-map and solver flags of fit, bootstrap and simulate."""
+    sub.add_argument("--map", dest="map_kind", choices=("linear", "sieve"))
+    sub.add_argument("--ridge", dest="ridge_tau", type=float,
                      help="ridge level for the linear map fit")
     sub.add_argument("--gamma", help="sieve penalty: 'auto', 'cv' or a "
                      "number")
@@ -348,11 +290,26 @@ def _add_fit_options(sub):
     sub.add_argument("--clamp-tol", type=float,
                      help="allowed relative overshoot outside the "
                      "training support")
-    sub.add_argument("--center", action="store_true", default=None)
-    sub.add_argument("--folds", type=int)
-    sub.add_argument("--cv-seed", type=int)
+    sub.add_argument("--folds", dest="cv_folds", type=int)
     sub.add_argument("--tol", type=float)
     sub.add_argument("--max-iters", type=int)
+
+
+def _add_fit_options(sub):
+    sub.add_argument("--proxy", action="append",
+                     help="proxy CSV, repeat once per proxy dataset")
+    sub.add_argument("--target", help="target CSV (x columns and y)")
+    sub.add_argument("--lambda", dest="lam",
+                     help="penalty level: 'cv' or a number")
+    sub.add_argument("--center", action=argparse.BooleanOptionalAction)
+    sub.add_argument("--cv-seed", type=int)
+    _add_model_options(sub)
+
+
+def _finish_subcommand(sub, func, out_help):
+    sub.add_argument("--out", help=out_help)
+    sub.add_argument("--config", help="JSON file with flag defaults")
+    sub.set_defaults(func=func, parser=sub)
 
 
 def _build_parser():
@@ -366,63 +323,42 @@ def _build_parser():
 
     fit = subs.add_parser("fit", help="train a transfer model")
     _add_fit_options(fit)
-    fit.add_argument("--out", help="output model JSON path")
-    fit.add_argument("--config", help="JSON file with flag defaults")
-    fit.set_defaults(func=cmd_fit, parser=fit)
+    _finish_subcommand(fit, cmd_fit, "output model JSON path")
 
     pred = subs.add_parser("predict", help="apply a saved model")
     pred.add_argument("--model", help="model JSON path")
     pred.add_argument("--data", help="CSV with x columns only")
-    pred.add_argument("--out", help="output predictions CSV")
-    pred.add_argument("--config", help="JSON file with flag defaults")
-    pred.set_defaults(func=cmd_predict, parser=pred)
+    _finish_subcommand(pred, cmd_predict, "output predictions CSV")
 
     sim = subs.add_parser("simulate", help="run benchmark scenarios")
     sim.add_argument("--scenario", choices=("linear", "nonlinear"))
     sim.add_argument("--preset", choices=tuple(_PRESETS))
-    sim.add_argument("--K", type=int)
-    sim.add_argument("--n-p", type=int)
-    sim.add_argument("--n-t", type=int)
-    sim.add_argument("--n-test", type=int)
-    sim.add_argument("--p1", type=int)
-    sim.add_argument("--p2", type=int)
-    sim.add_argument("--reps", type=int)
-    sim.add_argument("--seed", type=int)
+    for flag in ("--K", "--n-p", "--n-t", "--n-test", "--p1", "--p2",
+                 "--reps", "--seed"):
+        sim.add_argument(flag, type=int)
+    sim.add_argument("--delta-sparse", action=argparse.BooleanOptionalAction,
+                     help="draw sparse proxy contrasts (the default)")
     sim.add_argument("--dense-delta", dest="delta_sparse",
                      action="store_false", default=None,
                      help="draw non-sparse proxy contrasts")
-    sim.add_argument("--sparse-total", action="store_true", default=None,
+    sim.add_argument("--sparse-total", action=argparse.BooleanOptionalAction,
                      help="one sparse draw over all p coordinates instead "
                      "of per block")
     sim.add_argument("--lambda-policy", choices=("cv", "fixed"))
     sim.add_argument("--lambda-value", type=float)
-    sim.add_argument("--map", choices=("linear", "sieve"))
     sim.add_argument("--delta-scale", type=float)
-    sim.add_argument("--map-noise", type=float)
-    sim.add_argument("--model-noise", type=float)
-    sim.add_argument("--map-perturb", type=float)
-    sim.add_argument("--ridge", type=float)
-    sim.add_argument("--gamma")
-    sim.add_argument("--c-gamma", type=float)
-    sim.add_argument("--p1-prime", type=int)
-    sim.add_argument("--budget", type=int)
-    sim.add_argument("--d-cap", type=int)
-    sim.add_argument("--clamp-tol", type=float)
-    sim.add_argument("--folds", type=int)
-    sim.add_argument("--tol", type=float)
-    sim.add_argument("--max-iters", type=int)
-    sim.add_argument("--out", help="output directory")
-    sim.add_argument("--config", help="JSON file with flag defaults")
-    sim.set_defaults(func=cmd_simulate, parser=sim)
+    sim.add_argument("--map-noise", dest="map_noise_scale", type=float)
+    sim.add_argument("--model-noise", dest="model_noise_scale", type=float)
+    sim.add_argument("--map-perturb", dest="map_perturb_scale", type=float)
+    _add_model_options(sim)
+    _finish_subcommand(sim, cmd_simulate, "output directory")
 
     boot = subs.add_parser("bootstrap",
                            help="bootstrap the target-stage coefficients")
     _add_fit_options(boot)
     boot.add_argument("--B", type=int, help="number of bootstrap draws")
     boot.add_argument("--seed", type=int)
-    boot.add_argument("--out", help="output samples CSV")
-    boot.add_argument("--config", help="JSON file with flag defaults")
-    boot.set_defaults(func=cmd_bootstrap, parser=boot)
+    _finish_subcommand(boot, cmd_bootstrap, "output samples CSV")
     return parser
 
 

@@ -2,6 +2,8 @@
 and atomic file I/O."""
 
 import csv
+import math
+import numbers
 import os
 import tempfile
 
@@ -67,6 +69,43 @@ def _require_finite(a, name):
         at = tuple(int(i) for i in np.argwhere(bad)[0])
         raise InvalidValueError(f"{name} entry ({', '.join(map(str, at))}) "
                                 f"= {a[at]} is not finite")
+
+
+def _check_nonnegative(name, value, positive=False):
+    """value when it is a finite real number >= 0 (> 0 when positive);
+    otherwise ConfigError naming name. A NaN fails here, where a check
+    written `value < 0` lets it through."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0
+            or (positive and value == 0)):
+        raise ConfigError(f"{name} must be a finite number "
+                          f"{'>' if positive else '>='} 0, got {value!r}")
+    return value
+
+
+def _check_penalty(name, value, keywords=()):
+    """A penalty option: one of the keyword strings, or a finite number
+    >= 0, given as a number or as its text (the form the command line
+    gives), returned as a float. Anything else raises ConfigError naming
+    name."""
+    if isinstance(value, str):
+        if value in keywords:
+            return value
+        try:
+            value = float(value)
+        except ValueError:
+            either = "".join(f"{k!r} or " for k in keywords)
+            raise ConfigError(f"{name} must be {either}a number, "
+                              f"got {value!r}") from None
+    return float(_check_nonnegative(name, value))
+
+
+def _check_seed(name, seed):
+    """ConfigError naming name for a negative integer seed, which numpy's
+    generators reject with a bare ValueError."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, "
+                          f"got {seed}")
 
 
 class Dataset:

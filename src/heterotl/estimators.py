@@ -17,7 +17,8 @@ import warnings
 import numpy as np
 
 from .core import (ConfigError, ConvergenceError, Dataset, DimensionError,
-                   IncompatibleError, TLFit, _require_finite,
+                   IncompatibleError, TLFit, _check_nonnegative,
+                   _check_penalty, _check_seed, _require_finite,
                    apply_centering, fit_centering, write_atomic)
 from .feature_map import (FeatureMapModel, average_maps, fit_linear_map,
                           fit_sieve_map, impute)
@@ -125,10 +126,12 @@ def _fit_maps(proxies, map_kind, ridge_tau, gamma, c_gamma, p1_prime,
 def _shrink_toward(D, y, omega_hat, lam, settings, cv_folds, cv_seed):
     """The target solve shared by every estimator: lam by cross-validation
     when lam == "cv", then a warm-started lasso of y on D shrunk toward
-    omega_hat. Returns (lam, delta_hat, SolveDiagnostics); a final solve
-    that does not certify within settings.max_iters raises
-    ConvergenceError.
+    omega_hat. lam may also be the text of a number. Returns (lam,
+    delta_hat, SolveDiagnostics); a final solve that does not certify
+    within settings.max_iters raises ConvergenceError.
     """
+    lam = _check_penalty("lam", lam, ("cv",))
+    _check_seed("cv_seed", cv_seed)
     if lam == "cv":
         lam, _ = cv_lambda(D, y, omega_hat, folds=cv_folds, seed=cv_seed,
                            settings=settings)
@@ -172,7 +175,15 @@ def fit_htl(proxies, target, map_kind="linear", lam="cv", settings=None,
     for five-fold cross-validation on the target sample. center=True
     subtracts target-design column means (reapplied at prediction). A
     final target solve that does not certify raises ConvergenceError.
+
+    lam and gamma may be given as the text of a number; a number option
+    that is negative or not finite raises ConfigError naming it.
     """
+    lam = _check_penalty("lam", lam, ("cv",))
+    gamma = _check_penalty("gamma", gamma, ("auto", "cv"))
+    for name, value in (("ridge_tau", ridge_tau), ("c_gamma", c_gamma),
+                        ("clamp_tol", clamp_tol)):
+        _check_nonnegative(name, value)
     proxies = _check_proxies(proxies)
     if target.p1 != proxies[0].p1:
         raise IncompatibleError(
@@ -218,7 +229,8 @@ def fit_target_lasso(target, lam="cv", settings=None, cv_folds=5, cv_seed=0):
     return TLFit(zero, delta, lam, "target_lasso")
 
 
-def bootstrap_refit(proxies, target, B, seed, sampler=None, **fit_kwargs):
+def bootstrap_refit(proxies, target, B, seed=0, sampler=None,
+                    **fit_kwargs):
     """Resample target rows with replacement B times and refit.
 
     fit_kwargs are fit_htl's keywords, with its defaults. The proxy side
@@ -232,6 +244,7 @@ def bootstrap_refit(proxies, target, B, seed, sampler=None, **fit_kwargs):
     """
     if B < 1:
         raise ConfigError(f"need B >= 1 bootstrap draws, got {B}")
+    _check_seed("seed", seed)
     base = fit_htl(proxies, target, **fit_kwargs)
     bound = inspect.signature(fit_htl).bind(proxies, target, **fit_kwargs)
     bound.apply_defaults()

@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, _require_finite
+from .core import (ConfigError, DimensionError, _check_nonnegative,
+                   _require_finite)
 
 
 _GAP_TOL = 1e-10  # duality gap that certifies a solve, relative to P(0)
@@ -40,8 +41,7 @@ class LassoSettings:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
+        _check_nonnegative("tol", self.tol, positive=True)
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
 

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import (METHOD_TAGS, ConfigError, Dataset, HeterotlError,
-                   TruthRecord, l1_estimation_error,
-                   mean_absolute_prediction_error, rmse)
+                   TruthRecord, _check_nonnegative, _check_penalty,
+                   l1_estimation_error, mean_absolute_prediction_error, rmse)
 from .penalized_reg import LassoSettings
 from .estimators import (fit_homogeneous, fit_htl, fit_target_lasso,
                          oracle_predict, predict)
@@ -45,14 +45,17 @@ def _m_for(p, scenario):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One `heterotl simulate` run: every field but scenario defaults to
+    the value the command uses when its flag is left unset."""
+
     scenario: str
-    K: int
-    n_p: int
-    n_t: int
-    p1: int
-    p2: int
-    reps: int
-    seed: int
+    K: int = 2
+    n_p: int = 1000
+    n_t: int = 50
+    p1: int = 20
+    p2: int = 20
+    reps: int = 10
+    seed: int = 0
     n_test: int = 200
     delta_sparse: bool = True
     sparse_total: bool = False
@@ -86,10 +89,10 @@ class SimConfig:
             raise ConfigError(
                 f"lambda_policy must be fixed or cv, got "
                 f"{self.lambda_policy!r}")
-        if self.lambda_policy == "fixed":
-            if self.lambda_value is None or self.lambda_value < 0:
-                raise ConfigError(
-                    "fixed lambda policy needs lambda_value >= 0")
+        if self.lambda_policy == "fixed" and self.lambda_value is None:
+            raise ConfigError("fixed lambda policy needs lambda_value >= 0")
+        if self.lambda_value is not None:
+            _check_nonnegative("lambda_value", self.lambda_value)
         if self.map_kind not in (None, "linear", "sieve"):
             raise ConfigError(f"unknown map kind {self.map_kind!r}")
         if _m_for(self.p1 + self.p2, self.scenario) < 1:
@@ -101,9 +104,12 @@ class SimConfig:
                 f"nonlinear scenario needs p1 >= 5 active features, "
                 f"got p1={self.p1}")
         for name in ("delta_scale", "map_noise_scale", "model_noise_scale",
-                     "map_perturb_scale"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                     "map_perturb_scale", "ridge_tau", "c_gamma",
+                     "clamp_tol"):
+            _check_nonnegative(name, getattr(self, name))
+        # the command line gives gamma as text
+        object.__setattr__(self, "gamma", _check_penalty(
+            "gamma", self.gamma, ("auto", "cv")))
         # constructing settings validates tol and max_iters
         LassoSettings(max_iters=self.max_iters, tol=self.tol)
 

@@ -11,12 +11,14 @@ import pytest
 
 from heterotl.cli import main as cli_main
 from heterotl.core import Dataset
-from heterotl.feature_map import fit_linear_map
+from heterotl.feature_map import (average_maps, fit_linear_map,
+                                  map_discrepancy)
 from heterotl.penalized_reg import (LassoSettings, kkt_check, lasso,
                                     lasso_with_offset, null_threshold,
                                     objective)
 from heterotl.sieve_basis import expand, unravel
-from heterotl.simulation import SimConfig, run_replications
+from heterotl.simulation import (SimConfig, gen_linear_scenario,
+                                 run_replications)
 from oracles import offset_objective, pg_lasso, pg_objective
 
 
@@ -169,3 +171,34 @@ def test_criterion_9_simulate_is_byte_deterministic(tmp_path):
         assert cli_main(args + ["--out", str(tmp_path / sub)]) == 0
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
         (tmp_path / "b" / "metrics.csv").read_bytes()
+
+
+def test_htl_error_rises_with_map_and_contrast_gaps():
+    # the abstract's dependencies at fig1 scale, on the fig1 fixture's
+    # master seed: htl error rises as the proxies' maps drift from the
+    # target's and as the proxies' coefficients do, and the maps' drift
+    # eats htl's edge over the homogeneous baseline
+    start = time.perf_counter()
+    fig1 = dict(scenario="linear", K=2, n_p=2000, n_t=50, p1=20, p2=20,
+                n_test=200, reps=20, seed=20290)
+
+    def medians(**level):
+        report = run_replications(SimConfig(**fig1, **level))
+        assert report.failures == []
+        return {m: report.aggregates[m]["map"]["median"]
+                for m in ("htl", "homogeneous")}
+
+    near, far = medians(map_perturb_scale=0.0), medians(map_perturb_scale=4.0)
+    assert far["htl"] > near["htl"]
+    assert far["homogeneous"] - far["htl"] < \
+        near["homogeneous"] - near["htl"]
+    assert medians(delta_scale=3.0)["htl"] > medians(delta_scale=0.0)["htl"]
+
+    gaps = []
+    for level in (0.0, 1.0, 4.0):
+        scen = gen_linear_scenario(
+            SimConfig(**fig1, map_perturb_scale=level), 7)
+        fitted = average_maps([fit_linear_map(pr) for pr in scen.proxies])
+        gaps.append(map_discrepancy(fitted, scen.truth.true_map_target))
+    assert gaps[0] < gaps[1] < gaps[2]
+    assert time.perf_counter() - start < 60.0

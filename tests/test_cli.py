@@ -1,14 +1,20 @@
 """Command line behavior: exit codes, file outputs, option precedence."""
 
+import argparse
+import inspect
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from heterotl import cli
 from heterotl.cli import bootstrap_refit
-from heterotl.core import Dataset, read_dataset_csv, write_dataset_csv
+from heterotl.core import (ConfigError, Dataset, read_dataset_csv,
+                           write_dataset_csv)
 from heterotl.estimators import fit_htl, load_model, model_to_dict, predict
+from heterotl.penalized_reg import LassoSettings
+from heterotl.simulation import SimConfig
 
 
 def _toy_files(tmp_path, seed=3, n_p=80, n_t=25, p1=3, p2=2):
@@ -410,3 +416,157 @@ def test_config_preset_applies_like_the_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "'preset'" in err
+
+
+def _subparser(command):
+    subs = next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return subs.choices[command]
+
+
+# options only the command line reads: inputs, outputs, the config file,
+# the preset, and the bootstrap's draw count and seed
+_CLI_ONLY = {"proxy", "target", "out", "config", "preset", "model", "data"}
+
+
+@pytest.mark.parametrize("command,library,cli_only", [
+    ("fit", (fit_htl, LassoSettings), set()),
+    ("bootstrap", (fit_htl, LassoSettings), {"B", "seed"}),
+    ("simulate", (SimConfig,), set()),
+    ("predict", (), set()),
+])
+def test_every_option_is_a_library_keyword(command, library, cli_only):
+    keywords = {name for call in library
+                for name in inspect.signature(call).parameters}
+    dests = {a.dest for a in _subparser(command)._actions
+             if not isinstance(a, argparse._HelpAction)}
+    assert dests - keywords - _CLI_ONLY - cli_only == set()
+
+
+def test_unset_options_reach_the_manifest_with_library_defaults(tmp_path):
+    proxy, target = _toy_files(tmp_path)
+    fit_defaults = {name: p.default for call in (fit_htl, LassoSettings)
+                    for name, p in inspect.signature(call).parameters.items()
+                    if p.default is not p.empty and name != "settings"}
+    out = tmp_path / "m.json"
+    assert cli.main(["fit", "--proxy", proxy, "--target", target,
+                     "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["manifest"]["config"]
+    assert {k: config[k] for k in fit_defaults} == fit_defaults
+
+    out = tmp_path / "b.csv"
+    assert cli.main(["bootstrap", "--proxy", proxy, "--target", target,
+                     "--B", "1", "--lambda", "0.5", "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "b.csv.manifest.json").read_text())[
+        "config"]
+    assert {k: config[k] for k in fit_defaults} == dict(fit_defaults,
+                                                         lam="0.5")
+    assert config["seed"] == 0
+
+    small = dict(K=1, n_p=50, n_t=20, n_test=20, p1=4, p2=4, reps=1,
+                 lambda_policy="fixed", lambda_value=0.5)
+    argv = ["simulate", "--scenario", "linear", "--out", str(tmp_path / "o")]
+    for name, value in small.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"] == asdict(SimConfig("linear", **small))
+
+
+def test_switches_set_both_ways_over_the_config_file(tmp_path):
+    for config, flags, center in (({"center": True}, ["--no-center"], False),
+                                  ({"center": False}, ["--center"], True),
+                                  ({"no-center": True}, [], False),
+                                  ({"no_center": False}, [], True)):
+        rc, out, _ = _fit_with_config(tmp_path, dict(config, lam=0.5), flags)
+        assert rc == 0
+        assert json.loads(out.read_text())["manifest"]["config"][
+            "center"] is center
+    for config, flags, sparse, total in (
+            ({"dense-delta": True}, ["--delta-sparse"], True, False),
+            ({"delta-sparse": True}, ["--no-delta-sparse"], False, False),
+            ({"no-delta-sparse": True}, [], False, False),
+            ({"sparse-total": True}, ["--no-sparse-total"], True, False),
+            ({"no-sparse-total": False}, [], True, True)):
+        rc, got = _simulate_with_config(
+            tmp_path, dict(_SMALL_SIM, scenario="linear", **config), flags)
+        assert rc == 0
+        assert (got["delta_sparse"], got["sparse_total"]) == (sparse, total)
+
+
+def test_bad_seed_or_empty_proxy_list_is_a_usage_error(tmp_path, capsys):
+    proxy, target = _toy_files(tmp_path)
+    data = ["--proxy", proxy, "--target", target, "--lambda", "0.5"]
+    out = tmp_path / "b.csv"
+    boot = ["bootstrap"] + data + ["--B", "2", "--out", str(out)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    fit = ["fit"] + data + ["--out", str(tmp_path / "m.json"),
+                            "--lambda", "cv", "--cv-seed", "-1"]
+    for argv, name in ((boot + ["--seed", "-1"], "seed"),
+                       (boot + ["--config", str(cfg)], "seed"),
+                       (fit, "cv_seed")):
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "usage:" in err and f"{name} must be" in err
+    assert not out.exists()
+    rc, out, _ = _fit_with_config(tmp_path, {"proxy": [], "lam": 0.5})
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "missing required argument --proxy" in err
+    assert not out.exists()
+
+
+_BAD_VALUE_BASE = {
+    "fit": {"lambda": "0.5", "map": "sieve"},
+    "bootstrap": {"lambda": "0.5", "B": "1"},
+    "simulate": {"scenario": "linear", "K": "1", "n-p": "50", "n-t": "20",
+                 "n-test": "20", "p1": "5", "p2": "4", "reps": "1",
+                 "lambda-policy": "fixed", "lambda-value": "0.5"},
+}
+
+
+@pytest.mark.parametrize("command,key,value,name", [
+    ("fit", "tol", "nan", "tol"),
+    ("fit", "tol", "inf", "tol"),
+    ("fit", "lambda", "inf", "lam"),
+    ("fit", "gamma", "inf", "gamma"),
+    ("fit", "c-gamma", "nan", "c_gamma"),
+    ("fit", "ridge", "nan", "ridge_tau"),
+    ("fit", "clamp-tol", "-1", "clamp_tol"),
+    ("bootstrap", "clamp-tol", "nan", "clamp_tol"),
+    ("simulate", "delta-scale", "nan", "delta_scale"),
+    ("simulate", "lambda-value", "nan", "lambda_value"),
+    ("simulate", "map-noise", "inf", "map_noise_scale"),
+    ("simulate", "c-gamma", "nan", "c_gamma"),
+    ("simulate", "clamp-tol", "-1", "clamp_tol"),
+    ("simulate", "gamma", "inf", "gamma"),
+])
+def test_non_finite_or_negative_values_are_usage_errors(
+        tmp_path, capsys, command, key, value, name):
+    # one rule per value, whether it comes from a flag, a config file or
+    # the Python API
+    proxy, target = _toy_files(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if command != "simulate":
+        argv += ["--proxy", proxy, "--target", target]
+    opts = dict(_BAD_VALUE_BASE[command], **{key: value})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(opts))
+    for extra in ([f for k, v in opts.items() for f in ("--" + k, v)],
+                  ["--config", str(cfg)]):
+        rc = cli.main(argv + extra)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "usage:" in err and f"error: {name} must be" in err
+        assert not out.exists()
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        if command == "simulate":
+            SimConfig("linear", **{name: float(value)})
+        elif name == "tol":
+            LassoSettings(tol=float(value))
+        else:
+            fit_htl([read_dataset_csv(proxy)], read_dataset_csv(target),
+                    **{"lam": 0.5, "map_kind": "sieve", name: float(value)})
