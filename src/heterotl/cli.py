@@ -26,8 +26,8 @@ import time
 from . import __version__
 from .core import (CapacityError, ConfigError, ConvergenceError, DataError,
                    DimensionError, IncompatibleError, InvalidValueError,
-                   SupportError, _dataset_header, read_dataset_csv,
-                   read_x_csv, write_atomic)
+                   SupportError, _dataset_header, _utf8_error,
+                   read_dataset_csv, read_x_csv, write_atomic)
 from .estimators import (bootstrap_refit, fit_htl, load_model, predict,
                          save_model)
 from .penalized_reg import LassoSettings
@@ -70,6 +70,8 @@ def _load_config_file(path):
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {_utf8_error(path, exc)}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return cfg

@@ -2,6 +2,7 @@
 and atomic file I/O."""
 
 import csv
+import itertools
 import math
 import numbers
 import os
@@ -81,6 +82,20 @@ def _check_nonnegative(name, value, positive=False):
         raise ConfigError(f"{name} must be a finite number "
                           f"{'>' if positive else '>='} 0, got {value!r}")
     return value
+
+
+def _check_fit_counts(cv_folds, p1_prime, d_cap, budget):
+    """ConfigError naming the first integer fit option out of range:
+    cv_folds >= 2, p1_prime >= 1, d_cap >= 2, and budget None or >= 1."""
+    for name, value, least in (("cv_folds", cv_folds, 2),
+                               ("p1_prime", p1_prime, 1),
+                               ("d_cap", d_cap, 2), ("budget", budget, 1)):
+        if value is None and name == "budget":
+            continue
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < least):
+            raise ConfigError(f"{name} must be an integer >= {least}, "
+                              f"got {value!r}")
 
 
 def _check_penalty(name, value, keywords=()):
@@ -295,6 +310,13 @@ def _dataset_header(p1, p2):
     return cols
 
 
+def _utf8_error(path, exc):
+    """The text of the error for a file that is not UTF-8, naming it and
+    the first byte that does not decode."""
+    return (f"{path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x}: "
+            f"{exc.reason})")
+
+
 def _read_numeric_csv(path, parse_header):
     """Parse a header-led numeric CSV into (layout, (n, columns) array).
 
@@ -302,15 +324,78 @@ def _read_numeric_csv(path, parse_header):
     layout, raising DataError for a header it rejects. Header errors come
     before row errors; every message names the file, and row errors name
     the row and column.
+
+    The rows are read by numpy's C reader. A file it rejects, or would
+    read otherwise than csv.reader and float do, is read again by the
+    exact per-cell loop, which gives the same values for every file both
+    accept and the message that names the first bad row or cell.
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            layout = parse_header(header)
+            data = _c_rows(fh, len(header))
+        if data is None:
+            data = _exact_rows(path, header)
+    except UnicodeDecodeError as exc:
+        raise DataError(_utf8_error(path, exc)) from None
+    if not np.all(np.isfinite(data)):
+        bad = np.argwhere(~np.isfinite(data))[0]
+        raise DataError(
+            f"{path}: row {bad[0] + 2}, column {header[bad[1]]}: "
+            "non-finite value")
+    return layout, data
+
+
+def _c_rows(fh, width):
+    """The rest of fh as an (n, width) float array by np.loadtxt, or None
+    where the exact loop must decide: no rows, an empty line (which
+    loadtxt skips and csv.reader reads as a row of 0 fields), a row of
+    another width, or a cell loadtxt cannot parse (a quoted field, 1_0,
+    full-width digits, text). Lines are streamed to loadtxt, so the body
+    is never held as one string."""
+    lines = 0
+    blank = False
+
+    def body():
+        nonlocal lines, blank
+        for line in fh:
+            if line in ("\n", "\r\n", "\r"):
+                blank = True
+                return
+            lines += 1
+            yield line
+
+    rows = body()
+    # an empty body makes loadtxt warn; leave it to the exact loop
+    first = next(rows, None)
+    if first is None:
+        return None
+    try:
+        data = np.loadtxt(itertools.chain((first,), rows), dtype=float,
+                          delimiter=",", comments=None, quotechar=None,
+                          ndmin=2)
+    except UnicodeDecodeError:
+        raise
+    except ValueError:
+        return None
+    if blank or data.shape != (lines, width):
+        return None
+    return data
+
+
+def _exact_rows(path, header):
+    """The rows after the header as an (n, columns) array, read by
+    csv.reader and each cell by float; DataError names the first row of
+    another width or cell that does not parse, and a file with no rows."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        layout = parse_header(header)
-        rows = []
+        next(reader)
         for i, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(
@@ -327,13 +412,7 @@ def _read_numeric_csv(path, parse_header):
             rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(data)):
-        bad = np.argwhere(~np.isfinite(data))[0]
-        raise DataError(
-            f"{path}: row {bad[0] + 2}, column {header[bad[1]]}: "
-            "non-finite value")
-    return layout, data
+    return np.array(rows, dtype=float)
 
 
 def read_dataset_csv(path):

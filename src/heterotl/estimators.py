@@ -17,9 +17,10 @@ import warnings
 import numpy as np
 
 from .core import (ConfigError, ConvergenceError, Dataset, DimensionError,
-                   IncompatibleError, TLFit, _check_nonnegative,
-                   _check_penalty, _check_seed, _require_finite,
-                   apply_centering, fit_centering, write_atomic)
+                   DataError, IncompatibleError, TLFit, _check_fit_counts,
+                   _check_nonnegative, _check_penalty, _check_seed,
+                   _require_finite, _utf8_error, apply_centering,
+                   fit_centering, write_atomic)
 from .feature_map import (FeatureMapModel, average_maps, fit_linear_map,
                           fit_sieve_map, impute)
 from .penalized_reg import (LassoSettings, SolveDiagnostics, _lstsq_minnorm,
@@ -177,13 +178,15 @@ def fit_htl(proxies, target, map_kind="linear", lam="cv", settings=None,
     final target solve that does not certify raises ConvergenceError.
 
     lam and gamma may be given as the text of a number; a number option
-    that is negative or not finite raises ConfigError naming it.
+    that is negative or not finite, or an integer option out of its
+    range, raises ConfigError naming it.
     """
     lam = _check_penalty("lam", lam, ("cv",))
     gamma = _check_penalty("gamma", gamma, ("auto", "cv"))
     for name, value in (("ridge_tau", ridge_tau), ("c_gamma", c_gamma),
                         ("clamp_tol", clamp_tol)):
         _check_nonnegative(name, value)
+    _check_fit_counts(cv_folds, p1_prime, d_cap, budget)
     proxies = _check_proxies(proxies)
     if target.p1 != proxies[0].p1:
         raise IncompatibleError(
@@ -385,4 +388,8 @@ def save_model(path, model, manifest=None):
 
 def load_model(path):
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(_utf8_error(path, exc)) from None
+    return model_from_dict(json.loads(text))

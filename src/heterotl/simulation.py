@@ -16,8 +16,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import (METHOD_TAGS, ConfigError, Dataset, HeterotlError,
-                   TruthRecord, _check_nonnegative, _check_penalty,
-                   l1_estimation_error, mean_absolute_prediction_error, rmse)
+                   TruthRecord, _check_fit_counts, _check_nonnegative,
+                   _check_penalty, l1_estimation_error,
+                   mean_absolute_prediction_error, rmse)
 from .penalized_reg import LassoSettings
 from .estimators import (fit_homogeneous, fit_htl, fit_target_lasso,
                          oracle_predict, predict)
@@ -107,6 +108,8 @@ class SimConfig:
                      "map_perturb_scale", "ridge_tau", "c_gamma",
                      "clamp_tol"):
             _check_nonnegative(name, getattr(self, name))
+        _check_fit_counts(self.cv_folds, self.p1_prime, self.d_cap,
+                          self.budget)
         # the command line gives gamma as text
         object.__setattr__(self, "gamma", _check_penalty(
             "gamma", self.gamma, ("auto", "cv")))

@@ -3,6 +3,9 @@
 import argparse
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -545,6 +548,29 @@ _BAD_VALUE_BASE = {
 ])
 def test_non_finite_or_negative_values_are_usage_errors(
         tmp_path, capsys, command, key, value, name):
+    _assert_usage_error_everywhere(tmp_path, capsys, command, key, value,
+                                   name, float(value))
+
+
+@pytest.mark.parametrize("command,key,value,name", [
+    ("fit", "folds", "1", "cv_folds"),
+    ("fit", "p1-prime", "0", "p1_prime"),
+    ("fit", "d-cap", "1", "d_cap"),
+    ("fit", "budget", "0", "budget"),
+    ("bootstrap", "folds", "0", "cv_folds"),
+    ("simulate", "folds", "1", "cv_folds"),
+    ("simulate", "budget", "0", "budget"),
+    ("simulate", "p1-prime", "0", "p1_prime"),
+    ("simulate", "d-cap", "1", "d_cap"),
+])
+def test_integer_options_out_of_range_are_usage_errors(
+        tmp_path, capsys, command, key, value, name):
+    _assert_usage_error_everywhere(tmp_path, capsys, command, key, value,
+                                   name, int(value))
+
+
+def _assert_usage_error_everywhere(tmp_path, capsys, command, key, value,
+                                   name, api_value):
     # one rule per value, whether it comes from a flag, a config file or
     # the Python API
     proxy, target = _toy_files(tmp_path)
@@ -564,9 +590,53 @@ def test_non_finite_or_negative_values_are_usage_errors(
         assert not out.exists()
     with pytest.raises(ConfigError, match=f"^{name} must be"):
         if command == "simulate":
-            SimConfig("linear", **{name: float(value)})
+            SimConfig("linear", **{name: api_value})
         elif name == "tol":
-            LassoSettings(tol=float(value))
+            LassoSettings(tol=api_value)
         else:
             fit_htl([read_dataset_csv(proxy)], read_dataset_csv(target),
-                    **{"lam": 0.5, "map_kind": "sieve", name: float(value)})
+                    **{"lam": 0.5, "map_kind": "sieve", name: api_value})
+
+
+@pytest.mark.parametrize("command,file_arg,exit_code,message", [
+    ("fit", "--proxy", 3, "{path}: not UTF-8"),
+    ("predict", "--data", 3, "{path}: not UTF-8"),
+    ("predict", "--model", 3, "{path}: not UTF-8"),
+    ("fit", "--config", 2, "config file {path}: not UTF-8"),
+])
+def test_non_utf8_input_is_a_clean_error(tmp_path, capsys, command,
+                                         file_arg, exit_code, message):
+    proxy, target = _toy_files(tmp_path)
+    model = tmp_path / "model.json"
+    assert cli.main(["fit", "--proxy", proxy, "--target", target,
+                     "--lambda", "0.5", "--out", str(model)]) == 0
+    data = tmp_path / "x.csv"
+    _write_x_csv(data, np.zeros((2, 3)))
+    config = tmp_path / "cfg.json"
+    config.write_text('{"lambda": 0.5}')
+    args = {"fit": {"--proxy": proxy, "--target": target,
+                    "--config": str(config)},
+            "predict": {"--model": str(model), "--data": str(data)}}[command]
+    bad = tmp_path / "bad"
+    bad.write_bytes(open(args[file_arg], "rb").read() + b"\xff\n")
+    args[file_arg] = str(bad)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = cli.main([command, "--out", str(out)]
+                  + [a for kv in args.items() for a in kv])
+    err = capsys.readouterr().err
+    assert rc == exit_code
+    assert "error: " + message.format(path=bad) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "heterotl", "--version"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0
+    assert done.stdout.startswith("heterotl ")

@@ -1,11 +1,16 @@
 """Data model, metrics, and CSV ingestion."""
 
+import os
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from heterotl import core
 from heterotl.core import (DataError, Dataset, DimensionError,
                            InvalidValueError, ConfigError, TLFit,
                            TruthRecord, apply_centering, fit_centering,
@@ -258,6 +263,124 @@ def test_csv_rejects_non_finite(tmp_path):
 def test_csv_rejects_empty_and_headless(tmp_path):
     _assert_both_readers_reject(tmp_path, "", "empty file", width=0)
     _assert_both_readers_reject(tmp_path, "", "no data rows")
+
+
+# Each entry: a file, with {h} for the reader's two-column header, and
+# the rows it reads to or the message it fails with ({layout} and {last}
+# stand for the reader's header rule and last column).
+_CSV_CORPUS = {
+    "empty-line-mid": ("{h}\n1,2\n\n3,4\n", "row 3 has 0 fields, expected 2"),
+    "empty-line-end": ("{h}\n1,2\n3,4\n\n", "row 4 has 0 fields, expected 2"),
+    "empty-line-crlf": ("{h}\r\n1,2\r\n\r\n3,4\r\n",
+                        "row 3 has 0 fields, expected 2"),
+    "empty-line-only": ("{h}\n\n", "row 2 has 0 fields, expected 2"),
+    "whitespace-line": ("{h}\n1,2\n  \n3,4\n",
+                        "row 3 has 1 fields, expected 2"),
+    "crlf": ("{h}\r\n1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+    "bare-cr": ("{h}\r1,2\r3,4\r", [[1, 2], [3, 4]]),
+    "quoted-field": ('{h}\n"1.5",2\n', [[1.5, 2]]),
+    "underscore": ("{h}\n1_0,2\n", [[10, 2]]),
+    "full-width-digit": ("{h}\n１,2\n", [[1, 2]]),
+    "whitespace-cells": ("{h}\n 1.5 ,\t-2\n", [[1.5, -2]]),
+    "no-final-newline": ("{h}\n1,2\n3,4", [[1, 2], [3, 4]]),
+    "trailing-comma": ("{h}\n1,2,\n", "row 2 has 3 fields, expected 2"),
+    "bom-before-header": ("\ufeff{h}\n1,2\n",
+                          "header must be {layout}; got ['\\ufeffx1', "
+                          "'{last}']"),
+    "bom-in-row": ("{h}\n\ufeff1,2\n",
+                   "row 2, column x1: cannot parse '\\ufeff1' as a number"),
+    "hash": ("{h}\n1,2\n#c,4\n",
+             "row 3, column x1: cannot parse '#c' as a number"),
+    "inf": ("{h}\ninf,2\n", "row 2, column x1: non-finite value"),
+    "nan": ("{h}\n1,2\n3,nan\n", "row 3, column {last}: non-finite value"),
+    "overflow": ("{h}\n1e400,2\n", "row 2, column x1: non-finite value"),
+}
+
+_CSV_READERS = {read_dataset_csv: ("x1,y", "x1..xP1[, z1..zP2], y"),
+                read_x_csv: ("x1,x2", "x1..xP1 only")}
+
+
+def _read_rows(read, path):
+    out = read(path)
+    return out if read is read_x_csv else np.column_stack([out.x, out.y])
+
+
+@pytest.mark.parametrize("name", list(_CSV_CORPUS))
+def test_csv_corpus_reads_as_pinned(tmp_path, name):
+    # the syntax csv.reader and float accept, and their messages, whichever
+    # parser reads the rows
+    text, expected = _CSV_CORPUS[name]
+    for read, (header, layout) in _CSV_READERS.items():
+        path = tmp_path / f"{read.__name__}.csv"
+        path.write_bytes(text.format(h=header).encode("utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as info:
+                read(path)
+            message = expected.format(layout=layout,
+                                      last=header.split(",")[-1])
+            assert str(info.value) == f"{path}: {message}"
+        else:
+            assert np.array_equal(_read_rows(read, path), expected)
+
+
+def _wide_dataset(n=2000, p1=20, p2=20, seed=0):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.standard_normal((n, p1)), rng.standard_normal(n),
+                   rng.standard_normal((n, p2)))
+
+
+def test_csv_well_formed_file_skips_the_exact_loop(tmp_path, monkeypatch):
+    ds = _wide_dataset()
+    path = tmp_path / "proxy.csv"
+    write_dataset_csv(path, ds)
+
+    def exact_rows(*args):
+        raise AssertionError("a well-formed file reached the exact loop")
+
+    monkeypatch.setattr(core, "_exact_rows", exact_rows)
+    back = read_dataset_csv(path)
+    assert back.x.tobytes() == ds.x.tobytes()
+    assert back.z.tobytes() == ds.z.tobytes()
+    assert back.y.tobytes() == ds.y.tobytes()
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.sampled_from([repr, "%.17g".__mod__]))
+@settings(max_examples=60, deadline=None)
+def test_csv_values_read_back_bit_equal(X, spell):
+    # each spelling of a finite double reads back to the same bits
+    lines = [",".join(f"x{j}" for j in range(1, X.shape[1] + 1))]
+    lines += [",".join(spell(float(v)) for v in row) for row in X]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert read_x_csv(path).tobytes() == X.tobytes()
+
+
+def test_csv_read_memory_is_a_small_multiple_of_the_array(tmp_path):
+    ds = _wide_dataset()
+    path = tmp_path / "proxy.csv"
+    write_dataset_csv(path, ds)
+    read_dataset_csv(path)
+    tracemalloc.start()
+    try:
+        read_dataset_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * ds.n * (ds.p1 + ds.p2 + 1) * 8
+
+
+def test_csv_not_utf8_is_a_data_error(tmp_path):
+    for read, (header, _) in _CSV_READERS.items():
+        path = tmp_path / f"{read.__name__}.csv"
+        path.write_bytes(header.encode() + b"\n1,2\n3,\xff\n")
+        with pytest.raises(DataError) as info:
+            read(path)
+        assert str(info.value) == \
+            f"{path}: not UTF-8 (byte 0xff: invalid start byte)"
 
 
 def test_read_x_csv(tmp_path):
