@@ -213,7 +213,8 @@ def cmd_predict(args):
     started = time.perf_counter()
     try:
         model = load_model(opts["model"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
+        # ValueError covers bad JSON and a non-number where one is read
         raise DataError(f"model file {opts['model']} is malformed: {exc}")
     X = read_x_csv(opts["data"])
     yhat = predict(model, X)

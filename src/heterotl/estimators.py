@@ -107,7 +107,7 @@ def _proxy_x_coefficients(proxies):
 
 
 def _fit_maps(proxies, map_kind, ridge_tau, gamma, c_gamma, p1_prime,
-              budget, d_cap, settings):
+              budget, d_cap, settings, cv_folds, cv_seed):
     if map_kind == "linear":
         return average_maps([fit_linear_map(pr, tau=ridge_tau)
                              for pr in proxies])
@@ -120,7 +120,8 @@ def _fit_maps(proxies, map_kind, ridge_tau, gamma, c_gamma, p1_prime,
     M = default_truncation(p1, n_min, budget, p1_prime, d_cap)
     basis = unravel(p1, p1_prime, M, a=1.0, d_cap=d_cap)
     return average_maps([fit_sieve_map(pr, basis, gamma, settings,
-                                       c_gamma=c_gamma, x_scale=x_scale)
+                                       c_gamma=c_gamma, x_scale=x_scale,
+                                       cv_folds=cv_folds, cv_seed=cv_seed)
                          for pr in proxies])
 
 
@@ -173,7 +174,9 @@ def fit_htl(proxies, target, map_kind="linear", lam="cv", settings=None,
     block. Stage two averages per-proxy least-squares coefficients on
     [X | Z] into omega_hat, then solves the l1 fit of the target response
     on [X_t | Zhat_t] shrunk toward omega_hat. lam is a number or "cv"
-    for five-fold cross-validation on the target sample. center=True
+    for cross-validation on the target sample, over cv_folds folds drawn
+    with cv_seed; gamma="cv" picks the sieve penalty with the same folds
+    and seed. center=True
     subtracts target-design column means (reapplied at prediction). A
     final target solve that does not certify raises ConvergenceError.
 
@@ -194,7 +197,7 @@ def fit_htl(proxies, target, map_kind="linear", lam="cv", settings=None,
     if settings is None:
         settings = LassoSettings()
     map_model = _fit_maps(proxies, map_kind, ridge_tau, gamma, c_gamma,
-                          p1_prime, budget, d_cap, settings)
+                          p1_prime, budget, d_cap, settings, cv_folds, cv_seed)
     omega_hat = fit_proxy_coefficients(proxies)
     return _target_stage(map_model, omega_hat, target, lam, settings,
                          clamp_tol, center, cv_folds, cv_seed)

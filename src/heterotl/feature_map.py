@@ -148,8 +148,8 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
     """Penalized basis-expansion fit of each Z column on the expanded X.
 
     gamma may be a nonnegative number, "auto" for
-    c_gamma * sqrt(log M / n), or "cv" for per-column five-fold
-    cross-validation. x_scale rescales X coordinatewise before expansion
+    c_gamma * sqrt(log M / n), or "cv" for per-column cross-validation
+    over cv_folds folds drawn with cv_seed. x_scale rescales X coordinatewise before expansion
     (entries of X / x_scale must lie within the basis support).
 
     All columns run in one FISTA solve. A column with gamma > 0 stops at a

@@ -8,14 +8,19 @@ Under this (1/n) convention the smallest lam with an all-zero solution is
 the null threshold (2/n) ||D' r||_inf. The offset form shrinks beta toward
 a reference vector omega_hat through the substitution delta = beta - omega_hat.
 
-Small designs (the target stage) are solved exactly by an active-set
-method walking the penalty path with warm starts; wide designs and the
-sieve map's many responses by an accelerated proximal-gradient matrix
-solver, which also finishes any active-set point left uncertified. Both
-certify a solve by a duality gap of at most 1e-10 of P(0) = ||r||^2 / n,
-not of P(delta): at small lam on ill-conditioned designs exact optima sit
-near 1e-10 of the primal in floating point. A zero penalty is certified
-by a gradient within settings.tol instead.
+On small designs (the target stage) a grid of penalties, as
+cross-validation asks for, is traced exactly: the lasso path is piecewise
+linear in lam, and a homotopy follows it from the null threshold one kink
+to the next, reading off each grid point on the way. One product
+certifies the whole traced grid. A single penalty, and any traced point
+that does not certify, is solved by an exact active-set method
+(feature-sign search). Wide designs and the sieve map's many responses go
+to an accelerated proximal-gradient matrix solver, which also finishes
+any active-set point left uncertified. All certify a solve by a duality
+gap of at most 1e-10 of P(0) = ||r||^2 / n, not of P(delta): at small lam
+on ill-conditioned designs exact optima sit near 1e-10 of the primal in
+floating point. A zero penalty is certified by a gradient within
+settings.tol instead.
 """
 
 import warnings
@@ -319,39 +324,90 @@ def _feature_sign(G, lam, x, cap, tol):
             x[S[k]] = 0.0
 
 
-def _follow_pattern(G, x, lam, lams, tol):
-    """The path from x, stationary at lam, on to the next penalties lams.
+def _trace(G, lams, cap):
+    """The exact lasso path (homotopy: Osborne, Presnell & Turlach 2000;
+    Efron et al. 2004) at the descending penalties lams.
 
-    While the sign pattern s of x on its active set S holds, the solution
-    is x_S(l) = x_S + (lam - l) v with A_SS v = s / 2. Returns it, (p, k),
-    at the leading k penalties where it keeps its signs, has no violator
-    beyond rounding and certifies: the tests that end _feature_sign.
+    From x = 0 at the null threshold, each segment keeps the active set S
+    and its signs s, so x_S(l) = x_S + (lam - l) v with A_SS v = s / 2,
+    and ends at the next event: an inactive coordinate reaching
+    |2 H_j| = l or an active one reaching zero. The coordinate that just
+    left may not rejoin on its side at the same penalty; pinned columns
+    never join. Stops after cap events or at the first singular A_SS.
+    Returns (X, events) with X holding the leading lams that were reached.
     """
-    S = x.nonzero()[0]
-    v, bounded = _reduced_step(G, S, 0.5 * np.sign(x[S]),
-                               _RCOND * 0.5 / G.w[S].min())
-    if not bounded:
-        return np.empty((x.size, 0))  # no such v: the pattern cannot hold
-    X = np.zeros((x.size, lams.size))
-    X[S] = x[S, None] + np.outer(v, lam - lams)
-    H = G.b[:, None] - G.A @ X
-    slack = G.slack(lams)
-    bad = 2.0 * np.abs(H) - lams - slack > 0.0
-    bad[S] = np.sign(x[S, None]) * X[S] <= 0.0
-    mse = G.c - (X * (G.b[:, None] + H)).sum(axis=0)
-    ok = ~bad.any(axis=0) & _certified(X, H, mse, G.c, lams, tol, slack)
-    return X[:, :ok.size if ok.all() else int(ok.argmin())]
+    p, L = G.b.size, lams.size
+    X = np.zeros((p, L))
+    lam = 2.0 * float(np.max(np.abs(G.b), initial=0.0))
+    k = int(np.searchsorted(-lams, -lam, side="right"))  # x = 0 up to lam
+    if k == L:
+        return X, 0
+    # row j (or p + j) of the doubled system reads s 2 H_j for s = 1 (-1)
+    A2 = 2.0 * np.concatenate([G.A, -G.A])
+    b2 = 2.0 * np.concatenate([G.b, -G.b])
+    x, pattern = np.zeros(p), np.zeros(p)
+    j = int(np.abs(G.b).argmax())
+    pattern[j] = np.sign(G.b[j])
+    closed = np.concatenate([G.zero_var, G.zero_var])
+    closed[[j, p + j]] = True
+    events, left = 1, None
+    while events < cap:
+        S = pattern.nonzero()[0]
+        v, bounded = _reduced_step(G, S, 0.5 * pattern[S],
+                                   _RCOND * 0.5 / G.w[S].min())
+        if not bounded:
+            break
+        step = np.zeros(p)
+        step[S] = v
+        # s 2 H_j = g - t s u_j, u = 2 A step, meets the penalty lam - t
+        # at t = (lam - g) / (1 - s u_j) if it closes the gap (rate > 0)
+        g, rate = b2 - A2 @ x, 1.0 - A2 @ step
+        open_ = ~closed & (rate > 0.0)
+        if left is not None:
+            open_[left] = False
+        t_join = np.full(2 * p, np.inf)
+        np.divide(np.maximum(lam - g, 0.0), rate, out=t_join, where=open_)
+        i = int(t_join.argmin())
+        t, j = t_join[i], i % p
+        shrinking = pattern[S] * v < 0.0
+        if shrinking.any():
+            shrink = S[shrinking]
+            t_leave = -x[shrink] / v[shrinking]
+            m = int(t_leave.argmin())
+            if t_leave[m] <= t:
+                t, j, i = t_leave[m], shrink[m], -1
+        n = int(np.searchsorted(-lams[k:], t - lam, side="right"))
+        X[:, k:k + n] = x[:, None] + np.outer(step, lam - lams[k:k + n])
+        k += n
+        if k == L:
+            break
+        x += t * step
+        lam -= t
+        events += 1
+        if i >= 0:  # j joins with the sign of the side it reached
+            pattern[j], left = (1.0 if i < p else -1.0), None
+            closed[[j, p + j]] = True
+        else:
+            left = j if pattern[j] > 0.0 else p + j
+            x[j] = pattern[j] = 0.0
+            closed[[j, p + j]] = False
+    return X[:, :k], events
 
 
 def _lasso_path(D, r, lams, settings, x0=None):
-    """Solve the lasso at each penalty of lams in order, with warm starts.
+    """Solve the lasso at each penalty of lams, in the caller's order.
 
-    On designs _active_ok accepts, each penalty runs _feature_sign from the
-    previous solution (x0 at the first); after a certified point
-    _follow_pattern fills in the next ones, and a point left uncertified
-    goes on in _prox_grad_columns (rounds and iterations capped together
-    at settings.max_iters). Wider designs solve all penalties as columns
-    of one _prox_grad_columns call. Returns (Delta, iterations, flags).
+    On designs _active_ok accepts, a grid of two or more penalties with no
+    x0 is traced exactly by _trace, in descending order, and the traced
+    points are certified together by one product. Each point the trace
+    leaves uncertified, or stopped short of, runs _feature_sign from its
+    traced value (or from the previous point's solution), then
+    _prox_grad_columns if still uncertified. Without a trace every point
+    runs them, in descending order, the first from x0 (or zero) and each
+    next from the previous solution. settings.max_iters caps the trace's
+    events and, per point, the rounds plus iterations.
+    Wider designs solve all penalties as columns of one _prox_grad_columns
+    call. Returns (Delta, iterations, flags).
     """
     n, p = D.shape
     lams = np.asarray(lams, dtype=float)
@@ -360,26 +416,31 @@ def _lasso_path(D, r, lams, settings, x0=None):
         return _prox_grad_columns(D, np.outer(r, ones), lams, settings,
                                   None if x0 is None else np.outer(x0, ones))
     G = _Gram(D, r)
+    order = np.argsort(-lams, kind="stable")
     x = np.zeros(p) if x0 is None else np.where(G.zero_var, 0.0, x0)
+    X, iters, ok = np.empty((p, 0)), 0, []
+    if x0 is None and lams.size > 1:
+        X, iters = _trace(G, lams[order], settings.max_iters)
+        traced = lams[order[:X.shape[1]]]
+        H = G.b[:, None] - G.A @ X
+        mse = G.c - (X * (G.b[:, None] + H)).sum(axis=0)
+        ok = _certified(X, H, mse, G.c, traced, settings.tol,
+                        G.slack(traced))
     Delta = np.empty((p, lams.size))
     conv = np.zeros(lams.size, dtype=bool)
-    iters = l = 0
-    while l < lams.size:
-        x, it, ok = _feature_sign(G, lams[l], x, settings.max_iters,
-                                  settings.tol)
-        if not ok and it < settings.max_iters:
-            rest = LassoSettings(settings.max_iters - it, settings.tol)
-            T, more, flags = _prox_grad_columns(D, r[:, None], lams[l:l + 1],
-                                                rest, x[:, None])
-            x, it, ok = T[:, 0], it + more, bool(flags[0])
-        Delta[:, l], conv[l] = x, ok
-        iters += it
-        l += 1
-        if ok and x.any():
-            X = _follow_pattern(G, x, lams[l - 1], lams[l:], settings.tol)
-            k = X.shape[1]
-            Delta[:, l:l + k], conv[l:l + k] = X, True
-            x, l = X[:, -1] if k else x, l + k
+    for i, l in enumerate(order):
+        if i < len(ok):
+            x, conv[l] = X[:, i], ok[i]
+        if not conv[l]:
+            x, it, conv[l] = _feature_sign(G, lams[l], x, settings.max_iters,
+                                           settings.tol)
+            if not conv[l] and it < settings.max_iters:
+                rest = LassoSettings(settings.max_iters - it, settings.tol)
+                T, more, flags = _prox_grad_columns(
+                    D, r[:, None], lams[l:l + 1], rest, x[:, None])
+                x, it, conv[l] = T[:, 0], it + more, flags[0]
+            iters += it
+        Delta[:, l] = x
     return Delta, iters, conv
 
 
@@ -452,9 +513,11 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None):
     """Pick lam by K-fold cross-validation of held-out mean absolute error.
 
     Fold assignment is a seeded permutation split into contiguous blocks.
-    Each fold solves the whole grid in one _lasso_path call (an uncertified
-    point is used as it stands). Ties in the mean error go to the larger
-    lam (more shrinkage toward omega_hat).
+    Each fold solves the whole grid in one _lasso_path call: on small
+    designs one exact path trace, certified at every point, with
+    feature-sign finishing any point it leaves uncertified (a point still
+    uncertified is used as it stands). Ties in the mean error go to the
+    larger lam (more shrinkage toward omega_hat).
     Returns (best_lam, path) where path is a (L, 2) array of (lam, mean
     held-out error) rows over the deduplicated descending grid.
     """

@@ -137,6 +137,25 @@ def test_zero_response_predicts_zero(tmp_path):
     assert vals == [0.0, 0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("key", ["centering", "clamp_tol"])
+def test_predict_model_with_non_number_is_malformed(tmp_path, capsys, key):
+    proxy, target = _toy_files(tmp_path)
+    model_path = tmp_path / "model.json"
+    assert cli.main(["fit", "--proxy", proxy, "--target", target,
+                     "--out", str(model_path), "--lambda", "0.5"]) == 0
+    payload = json.loads(model_path.read_text(encoding="utf-8"))
+    payload[key] = "abc"
+    model_path.write_text(json.dumps(payload), encoding="utf-8")
+    data_path = tmp_path / "new.csv"
+    _write_x_csv(data_path, np.zeros((2, 3)))
+    capsys.readouterr()
+    rc = cli.main(["predict", "--model", str(model_path),
+                   "--data", str(data_path), "--out",
+                   str(tmp_path / "yhat.csv")])
+    assert rc == 3
+    assert f"model file {model_path} is malformed" in capsys.readouterr().err
+
+
 def test_malformed_cell_names_row(tmp_path, capsys):
     proxy, target = _toy_files(tmp_path)
     lines = open(target).read().splitlines()

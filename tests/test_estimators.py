@@ -13,7 +13,7 @@ from heterotl.estimators import (HtlModel, _proxy_x_coefficients,
                                  fit_proxy_coefficients, fit_target_lasso,
                                  load_model, oracle_predict, predict,
                                  save_model)
-from heterotl.feature_map import FeatureMapModel, impute
+from heterotl.feature_map import FeatureMapModel, fit_sieve_map, impute
 from heterotl.penalized_reg import (LassoSettings, _lstsq_minnorm,
                                     lasso_with_offset, null_threshold)
 from heterotl.sieve_basis import unravel
@@ -127,6 +127,26 @@ def test_htl_zero_penalty_is_ols_on_imputed_design():
     ref, rank = _lstsq_minnorm(D, y_t)
     assert rank == D.shape[1]
     assert np.max(np.abs(model.fit.beta_hat - ref)) < 1e-6
+
+
+def test_htl_sieve_cv_uses_the_fit_folds_and_seed():
+    rng = np.random.default_rng(20)
+    X_p = rng.uniform(-1.0, 1.0, size=(150, 2))
+    Z_p = np.sin(2.0 * X_p) + 0.3 * rng.standard_normal((150, 2))
+    proxy = Dataset(X_p, rng.standard_normal(150), Z_p)
+    target = Dataset(rng.uniform(-0.8, 0.8, size=(30, 2)),
+                     rng.standard_normal(30))
+    model = fit_htl([proxy], target, map_kind="sieve", lam=0.2, gamma="cv",
+                    budget=10, cv_folds=3, cv_seed=7)
+    basis, x_scale = model.map.basis, model.map.x_scale
+
+    def theta(**cv):
+        return fit_sieve_map(proxy, basis, "cv", LassoSettings(),
+                             x_scale=x_scale, **cv).Theta
+
+    assert np.array_equal(model.map.Theta, theta(cv_folds=3, cv_seed=7))
+    # the defaults, 5 folds and seed 0, pick another fit here
+    assert not np.array_equal(model.map.Theta, theta())
 
 
 def test_htl_beats_homogeneous_on_toy_scenario():

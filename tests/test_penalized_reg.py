@@ -306,6 +306,93 @@ def test_lasso_path_refuses_points_just_past_a_knot():
         assert np.max(np.abs(Delta[:, 1] - expect)) <= 1e-12
 
 
+def _trace_designs():
+    """(name, D, r): full rank, [X | X P] of rank p/2 with column scales
+    of about 10^2, and a design with a zero-variance column."""
+    rng = np.random.default_rng(46)
+    n = 40
+    full = rng.standard_normal((n, 12))
+    X = rng.uniform(0.0, np.sqrt(12.0), size=(n, 8))
+    collinear = np.hstack([X, X @ (15.0 * rng.standard_normal((8, 8)))])
+    zero_var = rng.standard_normal((n, 9))
+    zero_var[:, 4] = 0.0
+    out = []
+    for name, D in (("full_rank", full), ("collinear", collinear),
+                    ("zero_variance", zero_var)):
+        beta = rng.standard_normal(D.shape[1]) * (rng.uniform(
+            size=D.shape[1]) < 0.5)
+        out.append((name, D, D @ beta + 0.5 * rng.standard_normal(n)))
+    return out
+
+
+def test_trace_matches_pointwise_solves_in_any_grid_order():
+    # the exact path, visited in descending order whatever the caller's,
+    # reaches the optimum at every point of the grid
+    order_rng = np.random.default_rng(47)
+    for name, D, r in _trace_designs():
+        lam_max = null_threshold(D, r)
+        desc = default_grid(lam_max, num=25)
+        for lams in (desc, desc[::-1], order_rng.permutation(desc)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                Delta, _, conv = _lasso_path(D, r, lams, LassoSettings())
+            assert conv.all(), name
+            for l, lam in enumerate(lams):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    _, diag = lasso(D, r, lam)
+                assert abs(objective(D, r, lam, Delta[:, l])
+                           - diag.objective) <= 1e-12 * float(r @ r), name
+                assert kkt_check(D, r, lam, Delta[:, l]) \
+                    <= 1e-9 * lam_max, name
+            if name == "zero_variance":
+                assert not Delta[4].any()
+
+
+def test_path_finishes_the_points_a_stopped_trace_leaves(monkeypatch):
+    # a trace cut short after a few events leaves the rest of the grid to
+    # feature-sign, each point warm-started from the one before
+    inner = penalized_reg._trace
+    monkeypatch.setattr(penalized_reg, "_trace",
+                        lambda G, lams, cap: inner(G, lams, 4))
+    _, D, r = _trace_designs()[1]
+    lam_max = null_threshold(D, r)
+    lams = default_grid(lam_max, num=25)
+    Delta, _, conv = _lasso_path(D, r, lams, LassoSettings())
+    assert conv.all()
+    for l, lam in enumerate(lams):
+        _, diag = lasso(D, r, lam)
+        assert abs(objective(D, r, lam, Delta[:, l]) - diag.objective) \
+            <= 1e-12 * float(r @ r)
+        assert kkt_check(D, r, lam, Delta[:, l]) <= 1e-9 * lam_max
+
+
+def _fig1_cv_problem():
+    cfg = SimConfig(scenario="linear", K=2, n_p=2000, n_t=50, p1=20,
+                    p2=20, reps=1, seed=0, n_test=10)
+    scen = gen_linear_scenario(cfg, 20290)
+    maps = average_maps([fit_linear_map(pr) for pr in scen.proxies])
+    D = np.hstack([scen.target.x, impute(maps, scen.target.x)])
+    return D, scen.target.y, fit_proxy_coefficients(scen.proxies)
+
+
+def test_cv_trace_certifies_most_points_on_its_own(monkeypatch):
+    # each _feature_sign call finishes one fold point the trace left
+    # uncertified; a trace that gave up everywhere would still certify
+    # through it, so count the calls
+    D, y, omega = _fig1_cv_problem()
+    calls = []
+    inner = penalized_reg._feature_sign
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(penalized_reg, "_feature_sign", spy)
+    cv_lambda(D, y, omega, folds=5, seed=3)
+    assert len(calls) <= 0.1 * 5 * 50
+
+
 def _columns_instance(seed, n, p):
     """A design, three responses, and penalties 0, moderate, and null."""
     rng = np.random.default_rng(seed)
