@@ -323,7 +323,8 @@ def _read_numeric_csv(path, parse_header):
     parse_header(header) checks the stripped header and returns its
     layout, raising DataError for a header it rejects. Header errors come
     before row errors; every message names the file, and row errors name
-    the row and column.
+    the row and column. A UTF-8 byte-order mark before the header, as
+    spreadsheet programs write one, is dropped.
 
     The rows are read by numpy's C reader. A file it rejects, or would
     read otherwise than csv.reader and float do, is read again by the
@@ -331,7 +332,7 @@ def _read_numeric_csv(path, parse_header):
     accept and the message that names the first bad row or cell.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip() for h in next(reader)]
@@ -393,7 +394,7 @@ def _exact_rows(path, header):
     csv.reader and each cell by float; DataError names the first row of
     another width or cell that does not parse, and a file with no rows."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for i, row in enumerate(reader, start=2):

@@ -11,12 +11,15 @@ a reference vector omega_hat through the substitution delta = beta - omega_hat.
 On small designs (the target stage) a grid of penalties, as
 cross-validation asks for, is traced exactly: the lasso path is piecewise
 linear in lam, and a homotopy follows it from the null threshold one kink
-to the next, reading off each grid point on the way. One product
-certifies the whole traced grid. A single penalty, and any traced point
-that does not certify, is solved by an exact active-set method
-(feature-sign search). Wide designs and the sieve map's many responses go
-to an accelerated proximal-gradient matrix solver, which also finishes
-any active-set point left uncertified. All certify a solve by a duality
+to the next, reading off each grid point on the way. It keeps the
+inverse of the active block across kinks, so a kink costs O(k^2) for k
+active columns; an eigendecomposition takes over wherever that inverse
+cannot vouch for its own direction, and decides where a singular block
+stops the trace. One product certifies the whole traced grid. A single
+penalty, and any traced point that does not certify, is solved by an
+exact active-set method (feature-sign search). Wide designs and the sieve
+map's many responses go to an accelerated proximal-gradient matrix
+solver, which also finishes any active-set point left uncertified. All certify a solve by a duality
 gap of at most 1e-10 of P(0) = ||r||^2 / n, not of P(delta): at small lam
 on ill-conditioned designs exact optima sit near 1e-10 of the primal in
 floating point. A zero penalty is certified by a gradient within
@@ -324,6 +327,45 @@ def _feature_sign(G, lam, x, cap, tol):
             x[S[k]] = 0.0
 
 
+def _unit_solve(B, inv, r):
+    """B v = r from inv, an inverse of B kept across events, refined once
+    against B; None unless the refined residual is within _RCOND of r."""
+    v = inv @ r
+    v += inv @ (r - B @ v)
+    if np.abs(r - B @ v).max() <= _RCOND * np.abs(r).max():
+        return v
+    return None
+
+
+def _bordered(inv, c, d):
+    """The inverse of [[B, c], [c', d]] from inv = B^-1; None (stale) if inv
+    is, or if the Schur complement d - c' B^-1 c is not above _RCOND."""
+    if inv is None:
+        return None
+    u = inv @ c
+    s = d - c @ u
+    if not s > _RCOND:
+        return None
+    k = c.size
+    out = np.empty((k + 1, k + 1))
+    out[:k, :k] = inv + u[:, None] * (u / s)
+    out[k, :k] = out[:k, k] = -u / s
+    out[k, k] = 1.0 / s
+    return out
+
+
+def _swap_delete(inv, m):
+    """The inverse of B without row and column m, from inv = B^-1 (a Schur
+    complement downdate), with the last slot moved into slot m."""
+    if inv is None:
+        return None
+    f = inv[:, m]
+    out = inv - f[:, None] * (f / f[m])
+    out[m] = out[-1]
+    out[:, m] = out[:, -1]
+    return out[:-1, :-1]
+
+
 def _trace(G, lams, cap):
     """The exact lasso path (homotopy: Osborne, Presnell & Turlach 2000;
     Efron et al. 2004) at the descending penalties lams.
@@ -333,8 +375,21 @@ def _trace(G, lams, cap):
     and ends at the next event: an inactive coordinate reaching
     |2 H_j| = l or an active one reaching zero. The coordinate that just
     left may not rejoin on its side at the same penalty; pinned columns
-    never join. Stops after cap events or at the first singular A_SS.
-    Returns (X, events) with X holding the leading lams that were reached.
+    never join. Returns (X, events) with X holding the leading lams that
+    were reached.
+
+    An event costs O(|S|^2). The trace keeps the inverse of the
+    unit-scaled block A_SS in slot order: a join is a bordered update, and
+    a leave a Schur complement downdate that moves the last slot into the
+    leaver's. Each direction is refined once against the block, and the
+    doubled gradient moves by the rates the event has already computed.
+    The inverse must vouch for its direction: one whose refined residual
+    exceeds _RCOND of the right side comes from _reduced_step instead, and
+    so does every direction while the inverse is stale (from a join whose
+    Schur complement is not above _RCOND until a rebuild). _reduced_step's
+    eigenvalues rebuild the inverse unless its test finds the block
+    singular. The trace stops after cap events, or where _reduced_step
+    finds the right side in A_SS's null space.
     """
     p, L = G.b.size, lams.size
     X = np.zeros((p, L))
@@ -344,53 +399,73 @@ def _trace(G, lams, cap):
         return X, 0
     # row j (or p + j) of the doubled system reads s 2 H_j for s = 1 (-1)
     A2 = 2.0 * np.concatenate([G.A, -G.A])
-    b2 = 2.0 * np.concatenate([G.b, -G.b])
+    g = 2.0 * np.concatenate([G.b, -G.b])
     x, pattern = np.zeros(p), np.zeros(p)
     j = int(np.abs(G.b).argmax())
     pattern[j] = np.sign(G.b[j])
-    closed = np.concatenate([G.zero_var, G.zero_var])
-    closed[[j, p + j]] = True
+    avail = ~np.concatenate([G.zero_var, G.zero_var])  # sides that may join
+    avail[j] = avail[p + j] = False
+    neg, t_join = -lams, np.empty(2 * p)
+    slots, inv = np.array([j]), 1.0 / G.unit[[j]][:, [j]]
     events, left = 1, None
     while events < cap:
-        S = pattern.nonzero()[0]
-        v, bounded = _reduced_step(G, S, 0.5 * pattern[S],
-                                   _RCOND * 0.5 / G.w[S].min())
-        if not bounded:
-            break
+        w_S, s_S = G.w[slots], pattern[slots]
+        v = None if inv is None else _unit_solve(
+            G.unit[slots][:, slots], inv, 0.5 * s_S / w_S)
+        if v is None:
+            slots = pattern.nonzero()[0]
+            s_S = pattern[slots]
+            v, bounded = _reduced_step(G, slots, 0.5 * s_S,
+                                       _RCOND * 0.5 / G.w[slots].min())
+            if not bounded:
+                break
+            ev, U = G.eig
+            inv = (U / ev) @ U.T if ev[0] > _RCOND * ev[-1] else None
+        else:
+            v /= w_S
         step = np.zeros(p)
-        step[S] = v
+        step[slots] = v
         # s 2 H_j = g - t s u_j, u = 2 A step, meets the penalty lam - t
         # at t = (lam - g) / (1 - s u_j) if it closes the gap (rate > 0)
-        g, rate = b2 - A2 @ x, 1.0 - A2 @ step
-        open_ = ~closed & (rate > 0.0)
+        u = A2 @ step
+        rate = 1.0 - u
+        open_ = avail & (rate > 0.0)
         if left is not None:
             open_[left] = False
-        t_join = np.full(2 * p, np.inf)
+        t_join.fill(np.inf)
         np.divide(np.maximum(lam - g, 0.0), rate, out=t_join, where=open_)
         i = int(t_join.argmin())
         t, j = t_join[i], i % p
-        shrinking = pattern[S] * v < 0.0
-        if shrinking.any():
-            shrink = S[shrinking]
-            t_leave = -x[shrink] / v[shrinking]
+        shrinking = (s_S * v < 0.0).nonzero()[0]
+        if shrinking.size:
+            t_leave = -x[slots[shrinking]] / v[shrinking]
             m = int(t_leave.argmin())
             if t_leave[m] <= t:
-                t, j, i = t_leave[m], shrink[m], -1
-        n = int(np.searchsorted(-lams[k:], t - lam, side="right"))
-        X[:, k:k + n] = x[:, None] + np.outer(step, lam - lams[k:k + n])
-        k += n
+                t, m, i = t_leave[m], shrinking[m], -1
+                j = slots[m]
+        # lams[:k] lie at or above lam, so all count when t >= 0
+        n = max(int(neg.searchsorted(t - lam, side="right")) - k, 0)
+        if n:
+            X[:, k:k + n] = x[:, None] + step[:, None] * (lam - lams[k:k + n])
+            k += n
         if k == L:
             break
         x += t * step
         lam -= t
+        g -= t * u
         events += 1
         if i >= 0:  # j joins with the sign of the side it reached
             pattern[j], left = (1.0 if i < p else -1.0), None
-            closed[[j, p + j]] = True
+            avail[j] = avail[p + j] = False
+            inv = _bordered(inv, G.unit[slots, j], G.unit[j, j])
+            slots = np.concatenate([slots, [j]])
         else:
             left = j if pattern[j] > 0.0 else p + j
             x[j] = pattern[j] = 0.0
-            closed[[j, p + j]] = False
+            avail[j] = avail[p + j] = True
+            inv = _swap_delete(inv, m)
+            slots[m] = slots[-1]
+            slots = slots[:-1]
     return X[:, :k], events
 
 

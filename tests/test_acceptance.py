@@ -202,3 +202,20 @@ def test_htl_error_rises_with_map_and_contrast_gaps():
         gaps.append(map_discrepancy(fitted, scen.truth.true_map_target))
     assert gaps[0] < gaps[1] < gaps[2]
     assert time.perf_counter() - start < 60.0
+
+
+def test_htl_estimation_error_falls_with_proxy_sample_size():
+    # the abstract's dependence on proxy sample size, at fig1 scale on the
+    # fig1 fixture's master seed: the paper bounds estimation error, and
+    # htl's median l1 error on beta_1 falls as n_p grows (MAPE sits on the
+    # test-noise floor and cannot show it)
+    start = time.perf_counter()
+    fig1 = dict(scenario="linear", K=2, n_t=50, p1=20, p2=20, n_test=200,
+                reps=20, seed=20290)
+    medians = []
+    for n_p in (60, 200, 800, 3200):
+        report = run_replications(SimConfig(**fig1, n_p=n_p))
+        assert report.failures == []
+        medians.append(report.aggregates["htl"]["l1_err_beta1"]["median"])
+    assert all(a > b for a, b in zip(medians, medians[1:])), medians
+    assert time.perf_counter() - start < 60.0

@@ -650,6 +650,29 @@ def test_non_utf8_input_is_a_clean_error(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_fit_reads_csv_files_led_by_a_byte_order_mark(tmp_path):
+    # spreadsheet programs write "CSV UTF-8" with a BOM before the header;
+    # the model is the one fitted from the same files without it, while
+    # the manifest's input digests still hash the raw bytes
+    proxy, target = _toy_files(tmp_path)
+    boms = []
+    for path in (proxy, target):
+        bom = tmp_path / ("bom-" + os.path.basename(path))
+        bom.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+        boms.append(str(bom))
+    payloads = []
+    for (p, t), name in (((proxy, target), "plain.json"), (boms, "bom.json")):
+        out = tmp_path / name
+        assert cli.main(["fit", "--proxy", p, "--target", t,
+                         "--out", str(out)]) == 0
+        payloads.append(json.loads(out.read_text()))
+    plain, bom = payloads
+    assert {k: v for k, v in plain.items() if k != "manifest"} == \
+        {k: v for k, v in bom.items() if k != "manifest"}
+    assert list(bom["manifest"]["input_digests"].values()) != \
+        list(plain["manifest"]["input_digests"].values())
+
+
 def test_python_dash_m_runs_the_command_line():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -325,28 +325,141 @@ def _trace_designs():
     return out
 
 
+def _assert_path_matches_pointwise(D, r, lams, name):
+    """The path at lams, all certified and each point within the objective
+    and KKT tolerances of a cold single-penalty solve; returns it."""
+    lam_max = null_threshold(D, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        Delta, _, conv = _lasso_path(D, r, lams, LassoSettings())
+        assert conv.all(), name
+        for l, lam in enumerate(lams):
+            _, diag = lasso(D, r, lam)
+            assert abs(objective(D, r, lam, Delta[:, l]) - diag.objective) \
+                <= 1e-12 * float(r @ r), name
+            assert kkt_check(D, r, lam, Delta[:, l]) <= 1e-9 * lam_max, name
+    return Delta
+
+
 def test_trace_matches_pointwise_solves_in_any_grid_order():
     # the exact path, visited in descending order whatever the caller's,
     # reaches the optimum at every point of the grid
     order_rng = np.random.default_rng(47)
     for name, D, r in _trace_designs():
-        lam_max = null_threshold(D, r)
-        desc = default_grid(lam_max, num=25)
+        desc = default_grid(null_threshold(D, r), num=25)
         for lams in (desc, desc[::-1], order_rng.permutation(desc)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                Delta, _, conv = _lasso_path(D, r, lams, LassoSettings())
-            assert conv.all(), name
-            for l, lam in enumerate(lams):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    _, diag = lasso(D, r, lam)
-                assert abs(objective(D, r, lam, Delta[:, l])
-                           - diag.objective) <= 1e-12 * float(r @ r), name
-                assert kkt_check(D, r, lam, Delta[:, l]) \
-                    <= 1e-9 * lam_max, name
+            Delta = _assert_path_matches_pointwise(D, r, lams, name)
             if name == "zero_variance":
                 assert not Delta[4].any()
+
+
+def _spy(monkeypatch, name, calls):
+    """Replace penalized_reg.name by a wrapper that appends its arguments
+    to calls."""
+    inner = getattr(penalized_reg, name)
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(penalized_reg, name, spy)
+
+
+def test_trace_matches_pointwise_solves_on_long_paths(monkeypatch):
+    # 200-point grids on [X | X P | 0] (rank 30 of 61, column scales near
+    # 10^2, a zero-variance column) with a pure-noise response: coordinates
+    # leave and rejoin many times, and the kept inverse must stay good
+    # through all those downdates in slot order, with no fallback
+    for seed in (72, 73):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((60, 30))
+        D = np.hstack([X, X @ (3.0 * rng.standard_normal((30, 30))),
+                       np.zeros((60, 1))])
+        r = 5.0 * rng.standard_normal(60)
+        lams = default_grid(null_threshold(D, r), num=200)
+        leaves, fallbacks = [], []
+        with monkeypatch.context() as m, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            _spy(m, "_swap_delete", leaves)
+            _spy(m, "_reduced_step", fallbacks)
+            X_traced, _ = penalized_reg._trace(
+                penalized_reg._Gram(D, r), lams, LassoSettings().max_iters)
+        assert X_traced.shape[1] == lams.size, seed
+        assert len(leaves) >= 15 and not fallbacks, seed
+        Delta = _assert_path_matches_pointwise(D, r, lams, seed)
+        assert not Delta[60].any()
+
+
+def _near_singular_design(eps):
+    """Two columns within eps of the span of others: B_0, and B_1 - 2 B_2."""
+    rng = np.random.default_rng(80)
+    n = 40
+    B = rng.standard_normal((n, 8))
+    D = np.hstack([B, B[:, :1] + eps * rng.standard_normal((n, 1)),
+                   B[:, 1:2] - 2.0 * B[:, 2:3]
+                   + eps * rng.standard_normal((n, 1))])
+    r = B[:, :4] @ [2.0, -1.0, 1.0, 1.0] + 0.3 * rng.standard_normal(n)
+    return D, r
+
+
+def test_trace_falls_back_on_near_singular_blocks(monkeypatch):
+    # eps = 1e-4: both near copies join, the block's eigenvalue ratio falls
+    # to about 4e-9, the kept inverse fails its residual test, and the
+    # eigendecomposition takes over and rebuilds it; eps = 1e-6: the second
+    # join's Schur complement is about 1e-12, the inverse goes stale, and
+    # the null test stops the trace where a trace that takes every
+    # direction from _reduced_step stops
+    for eps, reach, stale in ((1e-4, 50, False), (1e-6, 9, True)):
+        D, r = _near_singular_design(eps)
+        lams = default_grid(null_threshold(D, r), num=50)
+        fallbacks, inverses = [], []
+        inner_bordered = penalized_reg._bordered
+
+        def bordered(*args):
+            inverses.append(inner_bordered(*args))
+            return inverses[-1]
+
+        with monkeypatch.context() as m:
+            _spy(m, "_reduced_step", fallbacks)
+            m.setattr(penalized_reg, "_bordered", bordered)
+            X, events = penalized_reg._trace(penalized_reg._Gram(D, r), lams,
+                                             LassoSettings().max_iters)
+        assert fallbacks, eps
+        assert any(inv is None for inv in inverses) == stale, eps
+        assert X.shape[1] == reach, eps
+        with monkeypatch.context() as m:
+            m.setattr(penalized_reg, "_unit_solve", lambda *args: None)
+            X_eig, events_eig = penalized_reg._trace(
+                penalized_reg._Gram(D, r), lams, LassoSettings().max_iters)
+        assert (X_eig.shape[1], events_eig) == (reach, events), eps
+        _assert_path_matches_pointwise(D, r, lams, eps)
+
+
+def test_trace_makes_no_eigendecomposition_per_event(monkeypatch):
+    # the kept inverse makes an event O(|S|^2); a trace that went back to
+    # an eigendecomposition per event would be O(|S|^3) again, which no
+    # tier-1 timing would show
+    D, y, omega = _fig1_cv_problem()
+    eighs, per_path = [], []
+    inner_eigh, inner_trace = np.linalg.eigh, penalized_reg._trace
+
+    def eigh(*args, **kwargs):
+        eighs.append(1)
+        return inner_eigh(*args, **kwargs)
+
+    def trace(*args):
+        before = len(eighs)
+        X, events = inner_trace(*args)
+        per_path.append((len(eighs) - before, events))
+        return X, events
+
+    monkeypatch.setattr(penalized_reg.np.linalg, "eigh", eigh)
+    monkeypatch.setattr(penalized_reg, "_trace", trace)
+    cv_lambda(D, y, omega, folds=5, seed=3)
+    assert len(per_path) == 5
+    for calls, events in per_path:
+        assert events >= 10
+        assert 10 * calls <= events
 
 
 def test_path_finishes_the_points_a_stopped_trace_leaves(monkeypatch):
@@ -356,15 +469,8 @@ def test_path_finishes_the_points_a_stopped_trace_leaves(monkeypatch):
     monkeypatch.setattr(penalized_reg, "_trace",
                         lambda G, lams, cap: inner(G, lams, 4))
     _, D, r = _trace_designs()[1]
-    lam_max = null_threshold(D, r)
-    lams = default_grid(lam_max, num=25)
-    Delta, _, conv = _lasso_path(D, r, lams, LassoSettings())
-    assert conv.all()
-    for l, lam in enumerate(lams):
-        _, diag = lasso(D, r, lam)
-        assert abs(objective(D, r, lam, Delta[:, l]) - diag.objective) \
-            <= 1e-12 * float(r @ r)
-        assert kkt_check(D, r, lam, Delta[:, l]) <= 1e-9 * lam_max
+    lams = default_grid(null_threshold(D, r), num=25)
+    _assert_path_matches_pointwise(D, r, lams, "collinear")
 
 
 def _fig1_cv_problem():
