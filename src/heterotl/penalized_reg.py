@@ -8,22 +8,23 @@ Under this (1/n) convention the smallest lam with an all-zero solution is
 the null threshold (2/n) ||D' r||_inf. The offset form shrinks beta toward
 a reference vector omega_hat through the substitution delta = beta - omega_hat.
 
-On small designs (the target stage) a grid of penalties, as
-cross-validation asks for, is traced exactly: the lasso path is piecewise
-linear in lam, and a homotopy follows it from the null threshold one kink
-to the next, reading off each grid point on the way. It keeps the
-inverse of the active block across kinks, so a kink costs O(k^2) for k
-active columns; an eigendecomposition takes over wherever that inverse
-cannot vouch for its own direction, and decides where a singular block
-stops the trace. One product certifies the whole traced grid. A single
-penalty, and any traced point that does not certify, is solved by an
-exact active-set method (feature-sign search). Wide designs and the sieve
-map's many responses go to an accelerated proximal-gradient matrix
-solver, which also finishes any active-set point left uncertified. All certify a solve by a duality
-gap of at most 1e-10 of P(0) = ||r||^2 / n, not of P(delta): at small lam
-on ill-conditioned designs exact optima sit near 1e-10 of the primal in
-floating point. A zero penalty is certified by a gradient within
-settings.tol instead.
+The solver is chosen by stage, not by width. Every single-response solve
+(the target stage: one penalty, a warm start or a cross-validation grid)
+is traced exactly on the gram of its design, at any width: the lasso
+path is piecewise linear in lam, and a homotopy follows it from the null
+threshold one kink to the next, reading off each penalty on the way. It
+keeps the inverse of the active block across kinks, so a kink costs
+O(k^2) for k active columns; an eigendecomposition takes over wherever
+that inverse cannot vouch for its own direction, and decides where a
+singular block stops the trace. One product certifies all traced points,
+or a given warm start. A point that does not certify is finished by an
+exact active-set method (feature-sign search), then by an accelerated
+proximal-gradient matrix solver. That matrix solver alone fits the sieve
+map's many responses, and its cross-validation folds. All certify a
+solve by a duality gap of at most 1e-10 of P(0) = ||r||^2 / n, not of
+P(delta): at small lam on ill-conditioned designs exact optima sit near
+1e-10 of the primal in floating point. A zero penalty is certified by a
+gradient within settings.tol instead.
 """
 
 import warnings
@@ -38,7 +39,6 @@ from .core import (ConfigError, DimensionError, _check_nonnegative,
 _GAP_TOL = 1e-10  # duality gap that certifies a solve, relative to P(0)
 _ROUND_TOL = 1e-13  # relative level below which a KKT violation is rounding
 _RCOND = 1e-10  # relative eigenvalue below which an active gram is singular
-_ACTIVE_MAX = 200  # widest design solved by the active-set method
 _POWER_ITERS = 30  # power-iteration steps for the top gram eigenvalue
 _LIP_MARGIN = 1.05  # safety margin on that estimate
 
@@ -168,7 +168,10 @@ def _certified(T, H, mse, c, lams, tol, slack=0.0):
     e'r / n = mse + T'H. Unpenalized: |2 H|_inf <= tol.
     """
     absH = np.abs(H)
-    room = (lams + slack) / np.maximum(2.0 * absH, np.finfo(float).tiny)
+    # only entries with room below 1 can lower s, and they cannot overflow
+    num, absH2 = lams + slack, 2.0 * absH
+    room = np.divide(num, absH2, out=np.full(absH.shape, np.inf),
+                     where=absH2 > num)
     s = np.minimum(1.0, room.min(axis=0, initial=1.0))
     pen = lams * np.abs(T).sum(axis=0)
     gap = (1.0 - s) ** 2 * mse - 2.0 * s * (T * H).sum(axis=0) + pen
@@ -238,11 +241,6 @@ def _prox_grad_columns(D, R, lams, settings, Theta0=None):
         Y = T + mom * (T - Theta)
         HY = H_new + mom * (H_new - H)
         Theta, H, mse = T, H_new, mse_new
-
-
-def _active_ok(n, p):
-    """Whether an (n, p) design goes to the active-set method."""
-    return p <= _ACTIVE_MAX and _gram_ok(n, p)
 
 
 class _Gram:
@@ -397,8 +395,7 @@ def _trace(G, lams, cap):
     k = int(np.searchsorted(-lams, -lam, side="right"))  # x = 0 up to lam
     if k == L:
         return X, 0
-    # row j (or p + j) of the doubled system reads s 2 H_j for s = 1 (-1)
-    A2 = 2.0 * np.concatenate([G.A, -G.A])
+    # entry j (or p + j) of the doubled system reads s 2 H_j for s = 1 (-1)
     g = 2.0 * np.concatenate([G.b, -G.b])
     x, pattern = np.zeros(p), np.zeros(p)
     j = int(np.abs(G.b).argmax())
@@ -427,7 +424,8 @@ def _trace(G, lams, cap):
         step[slots] = v
         # s 2 H_j = g - t s u_j, u = 2 A step, meets the penalty lam - t
         # at t = (lam - g) / (1 - s u_j) if it closes the gap (rate > 0)
-        u = A2 @ step
+        u = 2.0 * (G.A @ step)
+        u = np.concatenate([u, -u])
         rate = 1.0 - u
         open_ = avail & (rate > 0.0)
         if left is not None:
@@ -470,47 +468,42 @@ def _trace(G, lams, cap):
 
 
 def _lasso_path(D, r, lams, settings, x0=None):
-    """Solve the lasso at each penalty of lams, in the caller's order.
+    """Solve the lasso at each penalty of lams, in the caller's order, by
+    the active set on the gram of D, at any width.
 
-    On designs _active_ok accepts, a grid of two or more penalties with no
-    x0 is traced exactly by _trace, in descending order, and the traced
-    points are certified together by one product. Each point the trace
-    leaves uncertified, or stopped short of, runs _feature_sign from its
-    traced value (or from the previous point's solution), then
-    _prox_grad_columns if still uncertified. Without a trace every point
-    runs them, in descending order, the first from x0 (or zero) and each
-    next from the previous solution. settings.max_iters caps the trace's
-    events and, per point, the rounds plus iterations.
-    Wider designs solve all penalties as columns of one _prox_grad_columns
-    call. Returns (Delta, iterations, flags).
+    Without x0 the penalties are traced exactly by _trace, in descending
+    order (one penalty is a one-point trace); with x0 the largest penalty
+    starts from x0 instead. One product certifies the traced points, or
+    x0. Each point left uncertified, or that the trace stopped short of,
+    runs _feature_sign from its traced value (or from the previous
+    point's solution), then _prox_grad_columns if still uncertified.
+    settings.max_iters caps the trace's events, the rounds and the
+    iterations of the whole call together. Returns (Delta, iterations,
+    flags).
     """
-    n, p = D.shape
+    p = D.shape[1]
     lams = np.asarray(lams, dtype=float)
-    if not _active_ok(n, p):
-        ones = np.ones(lams.size)
-        return _prox_grad_columns(D, np.outer(r, ones), lams, settings,
-                                  None if x0 is None else np.outer(x0, ones))
     G = _Gram(D, r)
     order = np.argsort(-lams, kind="stable")
-    x = np.zeros(p) if x0 is None else np.where(G.zero_var, 0.0, x0)
-    X, iters, ok = np.empty((p, 0)), 0, []
-    if x0 is None and lams.size > 1:
+    if x0 is None:
         X, iters = _trace(G, lams[order], settings.max_iters)
-        traced = lams[order[:X.shape[1]]]
-        H = G.b[:, None] - G.A @ X
-        mse = G.c - (X * (G.b[:, None] + H)).sum(axis=0)
-        ok = _certified(X, H, mse, G.c, traced, settings.tol,
-                        G.slack(traced))
+    else:
+        X, iters = np.where(G.zero_var, 0.0, x0)[:, None], 0
+    traced = lams[order[:X.shape[1]]]
+    H = G.b[:, None] - G.A @ X
+    mse = G.c - (X * (G.b[:, None] + H)).sum(axis=0)
+    ok = _certified(X, H, mse, G.c, traced, settings.tol, G.slack(traced))
     Delta = np.empty((p, lams.size))
     conv = np.zeros(lams.size, dtype=bool)
+    x = np.zeros(p)
     for i, l in enumerate(order):
-        if i < len(ok):
+        if i < ok.size:
             x, conv[l] = X[:, i], ok[i]
         if not conv[l]:
-            x, it, conv[l] = _feature_sign(G, lams[l], x, settings.max_iters,
-                                           settings.tol)
-            if not conv[l] and it < settings.max_iters:
-                rest = LassoSettings(settings.max_iters - it, settings.tol)
+            left = settings.max_iters - iters
+            x, it, conv[l] = _feature_sign(G, lams[l], x, left, settings.tol)
+            if not conv[l] and it < left:
+                rest = LassoSettings(left - it, settings.tol)
                 T, more, flags = _prox_grad_columns(
                     D, r[:, None], lams[l:l + 1], rest, x[:, None])
                 x, it, conv[l] = T[:, 0], it + more, flags[0]
@@ -524,10 +517,11 @@ def lasso(D, r, lam, settings=None, delta0=None):
 
     D is the (n, p) design, r the (n,) response (residualized in the
     offset form), lam >= 0 the penalty under the (1/n) convention, delta0
-    an optional warm start. Small designs are solved exactly by the
-    active-set method, wide ones by proximal gradient (see _lasso_path).
-    The solve has converged once certified; settings.max_iters caps
-    active-set rounds plus fallback iterations.
+    an optional warm start. The solve is exact at any width: a one-point
+    path trace, or delta0 if it certifies, finished by the active set (see
+    _lasso_path). The solve has converged once certified;
+    settings.max_iters caps trace events, active-set rounds and fallback
+    iterations together.
 
     Returns (delta_hat, SolveDiagnostics). Non-convergence is reported via
     diagnostics.converged, never raised here.
@@ -573,26 +567,28 @@ def default_grid(lam_max, num=50, decay=1e-4):
 
 
 def warm_start(D, r, lam, settings=None):
-    """Warm start for the final solve at lam: the active-set solution
+    """Warm start for the final solve at lam: the exact path's solution
     there, so that the final solve only confirms its certificate. None
     when lam is at or above the null threshold, where the zero start is
-    exact, or when the design is too wide for the active-set method.
+    exact.
     """
     D, r = _check_design(D, r)
-    if not _active_ok(*D.shape) or not 0 < lam < null_threshold(D, r):
+    if not 0 < lam < null_threshold(D, r):
         return None
     return _lasso_path(D, r, [lam], settings or LassoSettings())[0][:, 0]
 
 
-def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None):
+def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None,
+              *, _path=None):
     """Pick lam by K-fold cross-validation of held-out mean absolute error.
 
     Fold assignment is a seeded permutation split into contiguous blocks.
-    Each fold solves the whole grid in one _lasso_path call: on small
-    designs one exact path trace, certified at every point, with
-    feature-sign finishing any point it leaves uncertified (a point still
-    uncertified is used as it stands). Ties in the mean error go to the
-    larger lam (more shrinkage toward omega_hat).
+    Each fold solves the whole grid in one _lasso_path call, at any width:
+    one exact path trace, certified at every point, with feature-sign
+    finishing any point it leaves uncertified (a point still uncertified
+    is used as it stands). A caller with its own fold solver, of
+    _lasso_path's signature, passes it as _path. Ties in the mean error
+    go to the larger lam (more shrinkage toward omega_hat).
     Returns (best_lam, path) where path is a (L, 2) array of (lam, mean
     held-out error) rows over the deduplicated descending grid.
     """
@@ -612,6 +608,8 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None):
         raise ConfigError("lambda grid must be nonnegative")
     if settings is None:
         settings = LassoSettings()
+    if _path is None:
+        _path = _lasso_path
     perm = np.random.default_rng(seed).permutation(n)
     blocks = np.array_split(perm, folds)
     errs = np.zeros((grid.size, folds))
@@ -620,8 +618,7 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None):
         mask[val_idx] = False
         D_tr, y_tr = D[mask], y[mask]
         D_val, y_val = D[val_idx], y[val_idx]
-        Delta, _, _ = _lasso_path(D_tr, y_tr - D_tr @ omega_hat, grid,
-                                  settings)
+        Delta, _, _ = _path(D_tr, y_tr - D_tr @ omega_hat, grid, settings)
         preds = D_val @ (omega_hat[:, None] + Delta)
         errs[:, f] = np.mean(np.abs(preds - y_val[:, None]), axis=0)
     mean_errs = errs.mean(axis=1)

@@ -21,7 +21,6 @@ factors into the basis columns that use it. The result is an (n, M)
 Fortran-ordered array (the transpose of the (M, n) buffer it fills).
 """
 
-import json
 from math import comb
 from itertools import combinations
 
@@ -119,13 +118,6 @@ class BasisIndexSet:
     def from_dict(cls, d):
         return cls(d["p1"], d["p1_prime"], d["a"], d["indices"],
                    d.get("d_cap", 64))
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
 
 
 def unravel(p1, p1_prime, M, a=1.0, d_cap=64):

@@ -219,3 +219,19 @@ def test_htl_estimation_error_falls_with_proxy_sample_size():
         medians.append(report.aggregates["htl"]["l1_err_beta1"]["median"])
     assert all(a > b for a, b in zip(medians, medians[1:])), medians
     assert time.perf_counter() - start < 60.0
+
+
+def test_wide_target_fits_and_htl_leads():
+    # the paper's high-dimensional regime, p = 500 against n_t = 50: the
+    # target design [X_t | Zhat] has rank at most 50, every replication
+    # must fit (each target solve certifies or the replication fails), and
+    # htl beats both baselines on the fig1 fixture's master seed
+    start = time.perf_counter()
+    report = run_replications(SimConfig(
+        scenario="linear", K=2, n_p=2000, n_t=50, p1=250, p2=250,
+        n_test=200, reps=20, seed=20290))
+    assert report.failures == []
+    med = {m: report.aggregates[m]["map"]["median"]
+           for m in ("htl", "homogeneous", "target_lasso")}
+    assert med["htl"] < med["homogeneous"] < med["target_lasso"], med
+    assert time.perf_counter() - start < 120.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from heterotl import penalized_reg
 from heterotl.core import (ConfigError, ConvergenceError, Dataset,
                            DimensionError, IncompatibleError,
                            InvalidValueError, SupportError)
@@ -147,7 +148,13 @@ def test_sieve_map_columns_match_projected_gradient():
     assert np.array_equal(model.Theta, np.zeros((10, 3)))
 
 
-def test_sieve_map_cv_gamma_runs():
+def test_sieve_map_cv_gamma_runs(monkeypatch):
+    # the sieve stage keeps FISTA for its folds too; only target solves
+    # trace the exact path
+    def refuse(*args):
+        raise AssertionError("a sieve CV fold traced the exact path")
+
+    monkeypatch.setattr(penalized_reg, "_trace", refuse)
     basis = unravel(2, 1, 6)
     proxy, _ = _sieve_proxy(9, 60, basis)
     model = fit_sieve_map(proxy, basis, gamma="cv", cv_folds=3)

@@ -151,6 +151,20 @@ def test_lasso_zero_variance_column_pinned():
     assert delta[2] == 0.0
 
 
+def test_lasso_zero_column_warns_only_of_its_pin():
+    # a zero gradient entry on the pinned column must not overflow the
+    # certificate's dual scaling at a large penalty
+    D, y, _ = _instance(12, n=30, p=4)
+    D = D.copy()
+    D[:, 1] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        delta, diag = lasso(D, y, 5.0)
+    assert [w.category for w in caught] == [UserWarning]
+    assert "zero-variance" in str(caught[0].message)
+    assert diag.converged and delta[1] == 0.0
+
+
 def test_lasso_validation():
     D, y, _ = _instance(13)
     with pytest.raises(ConfigError):
@@ -482,6 +496,19 @@ def _fig1_cv_problem():
     return D, scen.target.y, fit_proxy_coefficients(scen.proxies)
 
 
+def test_final_solve_from_its_warm_start_makes_no_round(monkeypatch):
+    # the fig1 final solve starts from warm_start's exact path point, which
+    # already certifies: no feature-sign round, no iteration
+    D, y, omega = _fig1_cv_problem()
+    lam, _ = cv_lambda(D, y, omega, folds=5, seed=0)
+    d0 = warm_start(D, y - D @ omega, lam)
+    calls = []
+    _spy(monkeypatch, "_feature_sign", calls)
+    _, _, diag = lasso_with_offset(D, y, omega, lam, delta0=d0)
+    assert not calls
+    assert diag.converged and diag.iterations == 0
+
+
 def test_cv_trace_certifies_most_points_on_its_own(monkeypatch):
     # each _feature_sign call finishes one fold point the trace left
     # uncertified; a trace that gave up everywhere would still certify
@@ -717,10 +744,12 @@ def test_warm_start_contract():
     lam_max = null_threshold(D, y)
     assert warm_start(D, y, lam_max) is None
     assert warm_start(D, y, 2.0 * lam_max) is None
-    # oversized for the gram form: p > 4n
+    # wider than its rows (p > 4n): still the exact solution
     rng = np.random.default_rng(40)
-    wide = rng.standard_normal((5, 30))
-    assert warm_start(wide, rng.standard_normal(5), 1e-6) is None
+    wide, r = rng.standard_normal((5, 30)), rng.standard_normal(5)
+    cold, _ = lasso(wide, r, 1e-6)
+    assert abs(objective(wide, r, 1e-6, warm_start(wide, r, 1e-6))
+               - objective(wide, r, 1e-6, cold)) < 1e-8
     lam = 0.2 * lam_max
     d0 = warm_start(D, y, lam)
     warm, _ = lasso(D, y, lam, delta0=d0)

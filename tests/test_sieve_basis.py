@@ -1,5 +1,6 @@
 """Cosine basis, multi-index enumeration, and design expansion."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -103,7 +104,7 @@ def test_unravel_validation():
 
 def test_basis_index_set_json_round_trip():
     basis = unravel(3, 2, 15, a=2.0, d_cap=7)
-    back = BasisIndexSet.from_json(basis.to_json())
+    back = BasisIndexSet.from_dict(json.loads(json.dumps(basis.to_dict())))
     assert back.multi_indices == basis.multi_indices
     assert (back.p1, back.p1_prime, back.a, back.d_cap) == (3, 2, 2.0, 7)
     assert back.M == 15
