@@ -5,13 +5,14 @@ coefficient matrix C, Z ~ F(X) C. The linear variant takes F(X) = X and
 fits C = P by least squares, ||Z - XP||_F^2 (optionally with a ridge
 shift tau on the Gram, solving (X'X + tau I) P = X'Z). The sieve variant
 takes the cosine tensor basis of X / x_scale and fits C = Theta, all Z
-columns in one l1-penalized proximal-gradient (FISTA) solve; a penalized
-column stops at a duality gap of 1e-10 of its objective at zero (the
-column's mean square), and settings.tol only bounds the gradient of
-unpenalized ones. Maps are averaged entrywise and compared by the
-spectral norm of their coefficient difference, after zero-padding sieve
-matrices of different truncation in the shared deterministic index
-ordering. Imputation applies F(X) C to new matched covariates.
+columns in one l1-penalized proximal-gradient (FISTA) solve on the M x M
+gram of the expansion; a penalized column stops at a duality gap of
+1e-10 of its objective at zero (the column's mean square), and
+settings.tol only bounds the gradient of unpenalized ones. Maps are
+averaged entrywise and compared by the spectral norm of their
+coefficient difference, after zero-padding sieve matrices of different
+truncation in the shared deterministic index ordering. Imputation
+applies F(X) C to new matched covariates.
 """
 
 import warnings
@@ -21,7 +22,7 @@ import numpy as np
 from .core import (ConfigError, ConvergenceError, DimensionError,
                    IncompatibleError, InvalidValueError, SupportError,
                    _require_finite)
-from .penalized_reg import (LassoSettings, _lstsq_minnorm,
+from .penalized_reg import (LassoSettings, _Gram, _lstsq_minnorm,
                             _prox_grad_columns, cv_lambda)
 from .sieve_basis import BasisIndexSet, expand
 
@@ -149,15 +150,17 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
 
     gamma may be a nonnegative number, "auto" for
     c_gamma * sqrt(log M / n), or "cv" for per-column cross-validation
-    over cv_folds folds drawn with cv_seed. x_scale rescales X coordinatewise before expansion
-    (entries of X / x_scale must lie within the basis support).
+    over cv_folds folds drawn with cv_seed. x_scale rescales X
+    coordinatewise before expansion (entries of X / x_scale must lie
+    within the basis support).
 
-    All columns run in one FISTA solve, and so does each "cv" fold's
-    grid. A column with gamma > 0 stops at a duality gap of 1e-10 of its
-    objective at zero, ||z_j||^2 / n; one with gamma = 0 (least squares)
-    once its gradient is within settings.tol in every coordinate, the only
-    use of tol here. A column open after settings.max_iters iterations
-    raises ConvergenceError.
+    All columns run in one FISTA solve on the M x M gram of the expansion
+    (8 M^2 bytes), and each "cv" fold's grid in one solve on the gram of
+    its training rows. A column with gamma > 0 stops at a duality gap of
+    1e-10 of its objective at zero, ||z_j||^2 / n; one with gamma = 0
+    (least squares) once its gradient is within settings.tol in every
+    coordinate, the only use of tol here. A column open after
+    settings.max_iters iterations raises ConvergenceError.
     """
     if proxy.z is None:
         raise IncompatibleError("proxy dataset has no mismatched block z")
@@ -173,17 +176,21 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
         gam = c_gamma * np.sqrt(np.log(M) / n) if M > 1 else 0.0
         gammas = np.full(Z.shape[1], gam)
     elif gamma == "cv":
+        # FISTA runs each fold's grid as columns of one solve: on these
+        # wide, well-conditioned designs it picked the trace's gamma about
+        # 7x faster at fig5 scale (M = 1261, one z column, one BLAS thread)
         zero_off = np.zeros(M)
         gammas = np.array([cv_lambda(Psi, Z[:, j], zero_off, folds=cv_folds,
                                      seed=cv_seed, settings=settings,
-                                     _path=_fold_path)[0]
+                                     _path=_prox_grad_columns)[0]
                            for j in range(Z.shape[1])])
     else:
         if not (gamma >= 0):
             raise ConfigError(f"gamma must be >= 0, got {gamma}")
         gammas = np.full(Z.shape[1], float(gamma))
     # the z columns share the design, so one matrix solve fits them all
-    Theta, iters, converged = _prox_grad_columns(Psi, Z, gammas, settings)
+    Theta, iters, converged = _prox_grad_columns(_Gram(Psi, Z), gammas,
+                                                 settings)
     if not converged.all():
         j = int(np.flatnonzero(~converged)[0])
         raise ConvergenceError(
@@ -191,14 +198,6 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
             f"after {iters} iterations")
     return FeatureMapModel("sieve", basis=basis, Theta=Theta,
                            x_scale=x_scale)
-
-
-def _fold_path(D, r, lams, settings):
-    # a sieve CV fold's grid as columns of one FISTA solve: on these wide,
-    # well-conditioned designs it picked the trace's gamma about 7 times
-    # faster at fig5 scale (M = 1261, one z column, one BLAS thread)
-    return _prox_grad_columns(D, np.outer(r, np.ones(lams.size)), lams,
-                              settings)
 
 
 _FRAME_PARTS = ("variant", "input dimension", "output dimension",

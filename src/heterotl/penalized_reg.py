@@ -8,19 +8,24 @@ Under this (1/n) convention the smallest lam with an all-zero solution is
 the null threshold (2/n) ||D' r||_inf. The offset form shrinks beta toward
 a reference vector omega_hat through the substitution delta = beta - omega_hat.
 
+Every solver reads one gram per design, _Gram: A = D'D / n with D'r / n
+and r'r / n for one response or several, built once for a target solve,
+a cross-validation fold or a sieve map fit (p^2 floats for p columns).
+
 The solver is chosen by stage, not by width. Every single-response solve
 (the target stage: one penalty, a warm start or a cross-validation grid)
-is traced exactly on the gram of its design, at any width: the lasso
-path is piecewise linear in lam, and a homotopy follows it from the null
-threshold one kink to the next, reading off each penalty on the way. It
-keeps the inverse of the active block across kinks, so a kink costs
-O(k^2) for k active columns; an eigendecomposition takes over wherever
-that inverse cannot vouch for its own direction, and decides where a
-singular block stops the trace. One product certifies all traced points,
-or a given warm start. A point that does not certify is finished by an
-exact active-set method (feature-sign search), then by an accelerated
-proximal-gradient matrix solver. That matrix solver alone fits the sieve
-map's many responses, and its cross-validation folds. All certify a
+is traced exactly on its gram, at any width: the lasso path is piecewise
+linear in lam, and a homotopy follows it from the null threshold one
+kink to the next, reading off each penalty on the way. It keeps the
+inverse of the active block across kinks, so a kink costs O(k^2) for k
+active columns; an eigendecomposition takes over wherever that inverse
+cannot vouch for its own direction, and decides where a singular block
+stops the trace. One product certifies all traced points, or a given
+warm start. A point that does not certify is finished by an exact
+active-set method (feature-sign search), then by an accelerated
+proximal-gradient matrix solver on the same gram. That matrix solver
+alone fits the sieve map's many responses, and each of its
+cross-validation folds' grids as columns of one solve. All certify a
 solve by a duality gap of at most 1e-10 of P(0) = ||r||^2 / n, not of
 P(delta): at small lam on ill-conditioned designs exact optima sit near
 1e-10 of the primal in floating point. A zero penalty is certified by a
@@ -130,24 +135,19 @@ def _pin_zero_variance(nsq):
     return nsq, zero_var
 
 
-def _gram_ok(n, p):
-    """Whether the gram form pays for itself on an (n, p) design."""
-    return p * p <= 50_000_000 and p <= 4 * n
-
-
 def _coldot(X, Y):
-    """Column-wise inner products of two equally shaped matrices."""
-    return np.einsum("ij,ij->j", X, Y)
+    """Column-wise inner products of two equally shaped matrices or vectors."""
+    return np.einsum("i...,i...->...", X, Y)
 
 
-def _top_eigenvalue(apply_A, p):
-    """Top eigenvalue of a PSD operator by power iteration, from below;
+def _top_eigenvalue(A):
+    """Top eigenvalue of a PSD matrix by power iteration, from below;
     stops after _POWER_ITERS steps or once an estimate repeats exactly."""
-    v = np.random.default_rng(0).standard_normal(p)
+    v = np.random.default_rng(0).standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
     top = 0.0
     for _ in range(_POWER_ITERS):
-        w = apply_A(v)
+        w = A @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
@@ -156,6 +156,40 @@ def _top_eigenvalue(apply_A, p):
             return new
         top = new
     return top
+
+
+class _Gram:
+    """The gram of a design D and one response or several (columns of R):
+    A = D'D / n, b = D'R / n, c = R'R / n, the column scales w and b_unit =
+    max |b_j| / w_j. The unit-scaled gram, on which rank is judged, is
+    built when the active-set code first reads it."""
+
+    def __init__(self, D, R):
+        n = D.shape[0]
+        self.A, self.b = D.T @ D / n, D.T @ R / n
+        self.c = float(R @ R) / n if R.ndim == 1 else _coldot(R, R) / n
+        nsq, self.zero_var = _pin_zero_variance(np.diagonal(self.A).copy())
+        self.w = np.sqrt(nsq)
+        self.b_unit = float(np.max(np.abs(self.b).T / self.w, initial=0.0))
+        self._unit = None
+        self.key = self.eig = None  # the last active set and its factors
+
+    @property
+    def unit(self):
+        if self._unit is None:
+            self._unit = self.A / np.outer(self.w, self.w)
+        return self._unit
+
+    def state(self, T):
+        """H = b - A T and the mean squares c - T'(b + H), per column of T
+        (each against the one response) or for a vector T."""
+        b = self.b if T.ndim == self.b.ndim else self.b[:, None]
+        H = b - self.A @ T
+        return H, self.c - _coldot(T, b + H)
+
+    def slack(self, lams):
+        """Per column (and penalty), the |2 H_j| - lam that is rounding."""
+        return _ROUND_TOL * np.add.outer(2.0 * self.b_unit * self.w, lams)
 
 
 def _certified(T, H, mse, c, lams, tol, slack=0.0):
@@ -179,54 +213,37 @@ def _certified(T, H, mse, c, lams, tol, slack=0.0):
     return np.where(lams > 0.0, gap <= _GAP_TOL * c, 2.0 * hmax <= tol)
 
 
-def _prox_grad_columns(D, R, lams, settings, Theta0=None):
-    """Accelerated proximal gradient run jointly over the columns of R.
+def _prox_grad_columns(G, lams, settings, Theta0=None):
+    """Accelerated proximal gradient run jointly over lams on the gram G.
 
-    Column l solves the lasso with response R[:, l] and penalty lams[l],
-    and all columns share each matrix product: FISTA (Beck & Teboulle
-    2009) with gradient restart (O'Donoghue & Candes 2015). The step is
-    1 / lip, lip from a power-iteration estimate of the gram's top
-    eigenvalue, doubled whenever a step meets more curvature than it
-    allows. A column freezes once _certified passes; settings.max_iters
-    caps the iterations. Returns (Theta, iterations, per-column flags).
+    Column l solves the lasso with penalty lams[l] and response l of G
+    (or G's one response), and all columns share each matrix product:
+    FISTA (Beck & Teboulle 2009) with gradient restart (O'Donoghue &
+    Candes 2015). The step is 1 / lip, lip from a power-iteration estimate
+    of the gram's top eigenvalue, doubled whenever a step meets more
+    curvature than it allows. A column freezes once _certified passes;
+    settings.max_iters caps the iterations. Returns (Theta, iterations,
+    per-column flags).
     """
-    n, p = D.shape
     lams = np.asarray(lams, dtype=float)
-    _, zero_var = _pin_zero_variance(_coldot(D, D) / n)
-    Theta = np.zeros((p, R.shape[1])) if Theta0 is None \
+    Theta = np.zeros((G.w.size, lams.size)) if Theta0 is None \
         else np.array(Theta0, dtype=float)
-    Theta[zero_var] = 0.0
-    c = _coldot(R, R) / n
-    if _gram_ok(n, p):
-        A = D.T @ D / n
-        B = D.T @ R / n
-
-        def state(T):
-            H = B - A @ T
-            return H, c - _coldot(T, B + H)
-
-        top = _top_eigenvalue(A.__matmul__, p)
-    else:
-        def state(T):
-            E = R - D @ T
-            return D.T @ E / n, _coldot(E, E) / n
-
-        top = _top_eigenvalue(lambda v: D.T @ (D @ v) / n, p)
+    Theta[G.zero_var] = 0.0
     # the gradient of the mean squares is -2 H, Lipschitz with 2 * top
-    lip = 2.0 * _LIP_MARGIN * top
-    H, mse = state(Theta)
+    lip = 2.0 * _LIP_MARGIN * _top_eigenvalue(G.A)
+    H, mse = G.state(Theta)
     # H is affine in T, so the extrapolated point's HY costs no product
     Y, HY, t = Theta, H, np.ones_like(lams)
     conv = np.zeros(lams.shape, dtype=bool)
     it = 0
     while True:
-        conv |= _certified(Theta, H, mse, c, lams, settings.tol)
+        conv |= _certified(Theta, H, mse, G.c, lams, settings.tol)
         if conv.all() or it == settings.max_iters:
             return Theta, it, conv
         it += 1
         Z = Y + (2.0 / lip) * HY
         T = np.where(conv, Theta, soft_threshold(Z, lams / lip))
-        H_new, mse_new = state(T)
+        H_new, mse_new = G.state(T)
         step = T - Y
         if np.any(_coldot(step, HY - H_new)
                   > 0.5 * lip * _coldot(step, step)):
@@ -241,24 +258,6 @@ def _prox_grad_columns(D, R, lams, settings, Theta0=None):
         Y = T + mom * (T - Theta)
         HY = H_new + mom * (H_new - H)
         Theta, H, mse = T, H_new, mse_new
-
-
-class _Gram:
-    """A = D'D / n, b = D'r / n, c = r'r / n, the column scales w and the
-    unit-scaled gram (on which rank is judged) of one design and response."""
-
-    def __init__(self, D, r):
-        n = D.shape[0]
-        self.A, self.b, self.c = D.T @ D / n, D.T @ r / n, float(r @ r) / n
-        nsq, self.zero_var = _pin_zero_variance(np.diagonal(self.A).copy())
-        self.w = np.sqrt(nsq)
-        self.unit = self.A / np.outer(self.w, self.w)
-        self.b_unit = float(np.max(np.abs(self.b) / self.w, initial=0.0))
-        self.key = self.eig = None  # the last active set and its factors
-
-    def slack(self, lams):
-        """Per column (and penalty), the |2 H_j| - lam that is rounding."""
-        return _ROUND_TOL * np.add.outer(2.0 * self.b_unit * self.w, lams)
 
 
 def _reduced_step(G, S, rhs, floor):
@@ -287,17 +286,16 @@ def _feature_sign(G, lam, x, cap, tol):
     to the first sign change, which the l1 term guarantees. Returns (x,
     rounds, certified) once no violator exceeds rounding or after cap rounds.
     """
-    A, b, w = G.A, G.b, G.w
+    w = G.w
     x = x.copy()
     slack = G.slack(lam)
     rounds, stationary = 0, False
 
     def done():
-        mse = G.c - x @ (b + H)
         return x, rounds, bool(_certified(x, H, mse, G.c, lam, tol, slack))
 
     while True:
-        H = b - A @ x
+        H, mse = G.state(x)
         pattern = np.sign(x)
         if stationary or not pattern.any():
             excess = (2.0 * np.abs(H) - lam - slack) / w
@@ -403,12 +401,13 @@ def _trace(G, lams, cap):
     avail = ~np.concatenate([G.zero_var, G.zero_var])  # sides that may join
     avail[j] = avail[p + j] = False
     neg, t_join = -lams, np.empty(2 * p)
-    slots, inv = np.array([j]), 1.0 / G.unit[[j]][:, [j]]
+    unit = G.unit  # a local: each read of the property costs a call
+    slots, inv = np.array([j]), 1.0 / unit[[j]][:, [j]]
     events, left = 1, None
     while events < cap:
         w_S, s_S = G.w[slots], pattern[slots]
         v = None if inv is None else _unit_solve(
-            G.unit[slots][:, slots], inv, 0.5 * s_S / w_S)
+            unit[slots][:, slots], inv, 0.5 * s_S / w_S)
         if v is None:
             slots = pattern.nonzero()[0]
             s_S = pattern[slots]
@@ -455,7 +454,7 @@ def _trace(G, lams, cap):
         if i >= 0:  # j joins with the sign of the side it reached
             pattern[j], left = (1.0 if i < p else -1.0), None
             avail[j] = avail[p + j] = False
-            inv = _bordered(inv, G.unit[slots, j], G.unit[j, j])
+            inv = _bordered(inv, unit[slots, j], unit[j, j])
             slots = np.concatenate([slots, [j]])
         else:
             left = j if pattern[j] > 0.0 else p + j
@@ -467,31 +466,29 @@ def _trace(G, lams, cap):
     return X[:, :k], events
 
 
-def _lasso_path(D, r, lams, settings, x0=None):
+def _lasso_path(G, lams, settings, x0=None):
     """Solve the lasso at each penalty of lams, in the caller's order, by
-    the active set on the gram of D, at any width.
+    the active set on the single-response gram G, at any width.
 
     Without x0 the penalties are traced exactly by _trace, in descending
     order (one penalty is a one-point trace); with x0 the largest penalty
     starts from x0 instead. One product certifies the traced points, or
     x0. Each point left uncertified, or that the trace stopped short of,
     runs _feature_sign from its traced value (or from the previous
-    point's solution), then _prox_grad_columns if still uncertified.
+    point's solution), then _prox_grad_columns on G if still uncertified.
     settings.max_iters caps the trace's events, the rounds and the
     iterations of the whole call together. Returns (Delta, iterations,
     flags).
     """
-    p = D.shape[1]
+    p = G.w.size
     lams = np.asarray(lams, dtype=float)
-    G = _Gram(D, r)
     order = np.argsort(-lams, kind="stable")
     if x0 is None:
         X, iters = _trace(G, lams[order], settings.max_iters)
     else:
         X, iters = np.where(G.zero_var, 0.0, x0)[:, None], 0
     traced = lams[order[:X.shape[1]]]
-    H = G.b[:, None] - G.A @ X
-    mse = G.c - (X * (G.b[:, None] + H)).sum(axis=0)
+    H, mse = G.state(X)
     ok = _certified(X, H, mse, G.c, traced, settings.tol, G.slack(traced))
     Delta = np.empty((p, lams.size))
     conv = np.zeros(lams.size, dtype=bool)
@@ -505,7 +502,7 @@ def _lasso_path(D, r, lams, settings, x0=None):
             if not conv[l] and it < left:
                 rest = LassoSettings(left - it, settings.tol)
                 T, more, flags = _prox_grad_columns(
-                    D, r[:, None], lams[l:l + 1], rest, x[:, None])
+                    G, lams[l:l + 1], rest, x[:, None])
                 x, it, conv[l] = T[:, 0], it + more, flags[0]
             iters += it
         Delta[:, l] = x
@@ -535,7 +532,7 @@ def lasso(D, r, lam, settings=None, delta0=None):
         delta0 = np.asarray(delta0, dtype=float)
         if delta0.shape != (D.shape[1],):
             raise DimensionError("delta0 length does not match D columns")
-    Delta, it, conv = _lasso_path(D, r, [lam], settings, delta0)
+    Delta, it, conv = _lasso_path(_Gram(D, r), [lam], settings, delta0)
     delta = Delta[:, 0]
     diag = SolveDiagnostics(int(it), bool(conv[0]),
                             kkt_check(D, r, lam, delta),
@@ -575,7 +572,8 @@ def warm_start(D, r, lam, settings=None):
     D, r = _check_design(D, r)
     if not 0 < lam < null_threshold(D, r):
         return None
-    return _lasso_path(D, r, [lam], settings or LassoSettings())[0][:, 0]
+    return _lasso_path(_Gram(D, r), [lam],
+                       settings or LassoSettings())[0][:, 0]
 
 
 def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None,
@@ -583,10 +581,11 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None,
     """Pick lam by K-fold cross-validation of held-out mean absolute error.
 
     Fold assignment is a seeded permutation split into contiguous blocks.
-    Each fold solves the whole grid in one _lasso_path call, at any width:
-    one exact path trace, certified at every point, with feature-sign
-    finishing any point it leaves uncertified (a point still uncertified
-    is used as it stands). A caller with its own fold solver, of
+    Each fold builds the _Gram of its training rows once and solves the
+    whole grid on it in one _lasso_path call, at any width: one exact path
+    trace, certified at every point, with feature-sign finishing any point
+    it leaves uncertified (a point still uncertified is used as it
+    stands). A caller with its own fold solver on that gram, of
     _lasso_path's signature, passes it as _path. Ties in the mean error
     go to the larger lam (more shrinkage toward omega_hat).
     Returns (best_lam, path) where path is a (L, 2) array of (lam, mean
@@ -618,7 +617,8 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None,
         mask[val_idx] = False
         D_tr, y_tr = D[mask], y[mask]
         D_val, y_val = D[val_idx], y[val_idx]
-        Delta, _, _ = _path(D_tr, y_tr - D_tr @ omega_hat, grid, settings)
+        G = _Gram(D_tr, y_tr - D_tr @ omega_hat)
+        Delta, _, _ = _path(G, grid, settings)
         preds = D_val @ (omega_hat[:, None] + Delta)
         errs[:, f] = np.mean(np.abs(preds - y_val[:, None]), axis=0)
     mean_errs = errs.mean(axis=1)

@@ -11,7 +11,7 @@ from heterotl import penalized_reg
 from heterotl.core import ConfigError, DimensionError, InvalidValueError
 from heterotl.estimators import fit_proxy_coefficients
 from heterotl.feature_map import average_maps, fit_linear_map, impute
-from heterotl.penalized_reg import (LassoSettings, _gram_ok, _lasso_path,
+from heterotl.penalized_reg import (LassoSettings, _Gram, _lasso_path,
                                     _prox_grad_columns, cv_lambda,
                                     default_grid, kkt_check, lasso,
                                     lasso_with_offset, null_threshold,
@@ -165,6 +165,32 @@ def test_lasso_zero_column_warns_only_of_its_pin():
     assert diag.converged and delta[1] == 0.0
 
 
+def test_lasso_fallback_reuses_the_path_gram(monkeypatch):
+    # a point the trace stops short of and feature-sign declines goes to
+    # FISTA on the same gram: one build and one zero-variance warning
+    D, y, _ = _instance(12, n=30, p=4)
+    D = D.copy()
+    D[:, 1] = 0.0
+    inner = penalized_reg._trace
+    monkeypatch.setattr(penalized_reg, "_trace",
+                        lambda G, lams, cap: inner(G, lams, 1))
+    monkeypatch.setattr(penalized_reg, "_feature_sign",
+                        lambda G, lam, x, cap, tol: (x, 0, False))
+    grams, fallbacks = [], []
+    _spy(monkeypatch, "_Gram", grams)
+    _spy(monkeypatch, "_prox_grad_columns", fallbacks)
+    lam = 0.1 * null_threshold(D, y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        delta, diag = lasso(D, y, lam)
+    assert len(grams) == 1 and len(fallbacks) == 1
+    assert [w.category for w in caught] == [UserWarning]
+    assert "zero-variance" in str(caught[0].message)
+    assert diag.converged and delta[1] == 0.0
+    _, ref = pg_lasso(D, y, lam)
+    assert diag.objective <= ref + 1e-9 * float(y @ y) / len(y)
+
+
 def test_lasso_validation():
     D, y, _ = _instance(13)
     with pytest.raises(ConfigError):
@@ -287,7 +313,7 @@ def test_lasso_path_matches_pointwise_solves():
     D, r = _degenerate_designs()[0][1:]
     lam_max = null_threshold(D, r)
     lams = default_grid(lam_max, num=12)
-    Delta, _, conv = _lasso_path(D, r, lams, LassoSettings())
+    Delta, _, conv = _lasso_path(_Gram(D, r), lams, LassoSettings())
     assert conv.all()
     for l, lam in enumerate(lams):
         _, diag = lasso(D, r, lam)
@@ -314,7 +340,8 @@ def test_lasso_path_refuses_points_just_past_a_knot():
     # descending: a coordinate joins; ascending: one leaves
     for lams in ([1.02 * knot, knot * (1 - 1e-9)],
                  [0.98 * knot, knot * (1 + 1e-9)]):
-        Delta, _, conv = _lasso_path(D, r, np.array(lams), LassoSettings())
+        Delta, _, conv = _lasso_path(_Gram(D, r), np.array(lams),
+                                     LassoSettings())
         assert conv.all()
         expect = soft_threshold(b, lams[1] / 2.0)
         assert np.max(np.abs(Delta[:, 1] - expect)) <= 1e-12
@@ -345,7 +372,7 @@ def _assert_path_matches_pointwise(D, r, lams, name):
     lam_max = null_threshold(D, r)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        Delta, _, conv = _lasso_path(D, r, lams, LassoSettings())
+        Delta, _, conv = _lasso_path(_Gram(D, r), lams, LassoSettings())
         assert conv.all(), name
         for l, lam in enumerate(lams):
             _, diag = lasso(D, r, lam)
@@ -547,11 +574,11 @@ def _assert_columns_optimal(D, R, lams, Theta):
 
 
 def test_prox_grad_columns_match_projected_gradient():
-    # one design in gram form, one too wide for it (p > 4n)
-    for seed, n, p, gram in ((16, 40, 9, True), (41, 20, 100, False)):
+    # one tall design and one wide (p > 4n)
+    for seed, n, p in ((16, 40, 9), (41, 20, 100)):
         D, R, lams = _columns_instance(seed, n, p)
-        assert _gram_ok(n, p) == gram
-        Theta, it, conv = _prox_grad_columns(D, R, lams, LassoSettings())
+        Theta, it, conv = _prox_grad_columns(_Gram(D, R), lams,
+                                             LassoSettings())
         assert conv.all()
         assert 0 < it < LassoSettings().max_iters
         _assert_columns_optimal(D, R, lams, Theta)
@@ -562,7 +589,7 @@ def test_prox_grad_columns_recover_from_small_step_estimate(monkeypatch):
     # followed into divergence
     monkeypatch.setattr(penalized_reg, "_LIP_MARGIN", 0.05)
     D, R, lams = _columns_instance(42, 40, 9)
-    Theta, _, conv = _prox_grad_columns(D, R, lams, LassoSettings())
+    Theta, _, conv = _prox_grad_columns(_Gram(D, R), lams, LassoSettings())
     assert conv.all()
     _assert_columns_optimal(D, R, lams, Theta)
 
@@ -570,12 +597,13 @@ def test_prox_grad_columns_recover_from_small_step_estimate(monkeypatch):
 def test_prox_grad_columns_cap_and_warm_start():
     D, R, lams = _columns_instance(43, 20, 100)
     settings = LassoSettings()
-    cold, it, _ = _prox_grad_columns(D, R, lams, settings)
-    _, _, conv = _prox_grad_columns(D, R, lams, LassoSettings(max_iters=2))
+    G = _Gram(D, R)
+    cold, it, _ = _prox_grad_columns(G, lams, settings)
+    _, _, conv = _prox_grad_columns(G, lams, LassoSettings(max_iters=2))
     assert not conv[:2].any()
     # the null column is certified at the zero start, before any step
     assert conv[2]
-    _, warm_it, conv = _prox_grad_columns(D, R, lams, settings, cold)
+    _, warm_it, conv = _prox_grad_columns(G, lams, settings, cold)
     assert conv.all()
     assert warm_it == 0
 
