@@ -6,13 +6,15 @@ fits C = P by least squares, ||Z - XP||_F^2 (optionally with a ridge
 shift tau on the Gram, solving (X'X + tau I) P = X'Z). The sieve variant
 takes the cosine tensor basis of X / x_scale and fits C = Theta, all Z
 columns in one l1-penalized proximal-gradient (FISTA) solve on the M x M
-gram of the expansion; a penalized column stops at a duality gap of
-1e-10 of its objective at zero (the column's mean square), and
+gram of the expansion, accumulated from row blocks of the expansion
+without ever holding all of it; a penalized column stops at a duality
+gap of 1e-10 of its objective at zero (the column's mean square), and
 settings.tol only bounds the gradient of unpenalized ones. Maps are
 averaged entrywise and compared by the spectral norm of their
 coefficient difference, after zero-padding sieve matrices of different
 truncation in the shared deterministic index ordering. Imputation
-applies F(X) C to new matched covariates.
+applies F(X) C to new matched covariates, a sieve map in the same row
+blocks.
 """
 
 import warnings
@@ -23,8 +25,8 @@ from .core import (ConfigError, ConvergenceError, DimensionError,
                    IncompatibleError, InvalidValueError, SupportError,
                    _require_finite)
 from .penalized_reg import (LassoSettings, _Gram, _lstsq_minnorm,
-                            _prox_grad_columns, cv_lambda)
-from .sieve_basis import BasisIndexSet, expand
+                            _prox_grad_columns, _row_blocks, cv_lambda)
+from .sieve_basis import BasisIndexSet, _check_input, expand
 
 # the name each variant gives its coefficient matrix
 _COEF_NAME = {"linear": "P", "sieve": "Theta"}
@@ -155,8 +157,11 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
     within the basis support).
 
     All columns run in one FISTA solve on the M x M gram of the expansion
-    (8 M^2 bytes), and each "cv" fold's grid in one solve on the gram of
-    its training rows. A column with gamma > 0 stops at a duality gap of
+    (8 M^2 bytes). The gram is accumulated from the expansion of one
+    block of 512 rows of X at a time, so the fit holds the gram and one
+    block, never the n x M expansion; "cv" alone expands every row, for
+    its folds, and solves each fold's grid in one solve on the gram of its
+    training rows. A column with gamma > 0 stops at a duality gap of
     1e-10 of its objective at zero, ||z_j||^2 / n; one with gamma = 0
     (least squares) once its gradient is within settings.tol in every
     coordinate, the only use of tol here. A column open after
@@ -168,14 +173,19 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
     if x_scale is not None:
         x_scale = np.asarray(x_scale, dtype=float)
         X = X / x_scale
-    Psi = expand(X, basis)
-    n, M = Psi.shape
+    # checked whole, so that an error names its row in X, not in a block
+    X = _check_input(X, basis)
+    n, M = X.shape[0], len(basis)
+    # the gram reads the expansion in row blocks, made as it asks for them
+    design = (expand(X[rows], basis) for rows in _row_blocks(n))
     if settings is None:
         settings = LassoSettings()
     if gamma == "auto":
         gam = c_gamma * np.sqrt(np.log(M) / n) if M > 1 else 0.0
         gammas = np.full(Z.shape[1], gam)
     elif gamma == "cv":
+        # the folds take rows from the whole expansion, so it is built
+        design = Psi = expand(X, basis)
         # FISTA runs each fold's grid as columns of one solve: on these
         # wide, well-conditioned designs it picked the trace's gamma about
         # 7x faster at fig5 scale (M = 1261, one z column, one BLAS thread)
@@ -189,7 +199,7 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
             raise ConfigError(f"gamma must be >= 0, got {gamma}")
         gammas = np.full(Z.shape[1], float(gamma))
     # the z columns share the design, so one matrix solve fits them all
-    Theta, iters, converged = _prox_grad_columns(_Gram(Psi, Z), gammas,
+    Theta, iters, converged = _prox_grad_columns(_Gram(design, Z), gammas,
                                                  settings)
     if not converged.all():
         j = int(np.flatnonzero(~converged)[0])
@@ -258,9 +268,14 @@ def impute(map_model, X, clamp_tol=0.0):
         raise DimensionError(
             f"X must be (n, {map_model.p1}), got shape {X.shape}")
     _require_finite(X, "X")
-    if map_model.basis is not None:
-        X = expand(_within_support(map_model, X, clamp_tol), map_model.basis)
-    return X @ map_model.coef
+    if map_model.basis is None:
+        return X @ map_model.coef
+    # expand and multiply in row blocks: no n x M expansion is held
+    X = _within_support(map_model, X, clamp_tol)
+    out = np.empty((X.shape[0], map_model.p2))
+    for rows in _row_blocks(X.shape[0]):
+        out[rows] = expand(X[rows], map_model.basis) @ map_model.coef
+    return out
 
 
 def _within_support(map_model, X, clamp_tol):

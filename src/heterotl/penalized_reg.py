@@ -11,6 +11,9 @@ a reference vector omega_hat through the substitution delta = beta - omega_hat.
 Every solver reads one gram per design, _Gram: A = D'D / n with D'r / n
 and r'r / n for one response or several, built once for a target solve,
 a cross-validation fold or a sieve map fit (p^2 floats for p columns).
+It is summed over row blocks of the design, which a caller may hand over
+one at a time: the sieve map fit streams its basis expansion that way,
+so it never holds the n x M design.
 
 The solver is chosen by stage, not by width. Every single-response solve
 (the target stage: one penalty, a warm start or a cross-validation grid)
@@ -46,6 +49,8 @@ _ROUND_TOL = 1e-13  # relative level below which a KKT violation is rounding
 _RCOND = 1e-10  # relative eigenvalue below which an active gram is singular
 _POWER_ITERS = 30  # power-iteration steps for the top gram eigenvalue
 _LIP_MARGIN = 1.05  # safety margin on that estimate
+_BLOCK_ROWS = 512  # rows per block a gram is accumulated from
+_PANEL = 256  # rows of one panel of a later block's gram update
 
 
 @dataclass(frozen=True)
@@ -162,11 +167,36 @@ class _Gram:
     """The gram of a design D and one response or several (columns of R):
     A = D'D / n, b = D'R / n, c = R'R / n, the column scales w and b_unit =
     max |b_j| / w_j. The unit-scaled gram, on which rank is judged, is
-    built when the active-set code first reads it."""
+    built when the active-set code first reads it.
+
+    D is the design or an iterable of its row blocks, in row order; an
+    array is read in blocks of _BLOCK_ROWS rows. The first block's C'C is
+    assigned (a design of at most _BLOCK_ROWS rows gives D'D bit for bit);
+    each later block adds the upper triangle of its own C'C in panels of
+    _PANEL rows, so no p x p temporary is made, and the lower triangle is
+    mirrored once at the end. A sieve fit streams its basis expansion this
+    way and never holds the n x M design."""
 
     def __init__(self, D, R):
-        n = D.shape[0]
-        self.A, self.b = D.T @ D / n, D.T @ R / n
+        n = R.shape[0]
+        if isinstance(D, np.ndarray):
+            D = [D[rows] for rows in _row_blocks(n)]
+        s = blocks = 0
+        for C in D:
+            Rb = R[s:s + C.shape[0]]
+            if blocks == 0:
+                A, b = C.T @ C, C.T @ Rb
+            else:
+                _add_upper(A, C)
+                b += C.T @ Rb
+            s += C.shape[0]
+            blocks += 1
+            del C  # let the block go before the next one is made
+        if blocks > 1:
+            _mirror_upper(A)
+        A /= n
+        b /= n
+        self.A, self.b = A, b
         self.c = float(R @ R) / n if R.ndim == 1 else _coldot(R, R) / n
         nsq, self.zero_var = _pin_zero_variance(np.diagonal(self.A).copy())
         self.w = np.sqrt(nsq)
@@ -184,12 +214,38 @@ class _Gram:
         """H = b - A T and the mean squares c - T'(b + H), per column of T
         (each against the one response) or for a vector T."""
         b = self.b if T.ndim == self.b.ndim else self.b[:, None]
-        H = b - self.A @ T
+        # A is exactly symmetric, and T'A runs faster than A T for a
+        # matrix T of few columns
+        AT = self.A @ T if T.ndim == 1 else (T.T @ self.A).T
+        H = b - AT
         return H, self.c - _coldot(T, b + H)
 
     def slack(self, lams):
         """Per column (and penalty), the |2 H_j| - lam that is rounding."""
         return _ROUND_TOL * np.add.outer(2.0 * self.b_unit * self.w, lams)
+
+
+def _row_blocks(n):
+    """Slices of n rows in blocks of _BLOCK_ROWS (one empty one if n = 0)."""
+    return [slice(i, i + _BLOCK_ROWS) for i in range(0, max(n, 1),
+                                                     _BLOCK_ROWS)]
+
+
+def _add_upper(A, C):
+    """A += C'C on and above the diagonal, one panel of rows at a time."""
+    for j in range(0, A.shape[0], _PANEL):
+        k = j + _PANEL
+        A[j:k, j:] += C[:, j:k].T @ C[:, j:]
+
+
+def _mirror_upper(A):
+    """Copy A's upper triangle onto its lower one, one panel at a time."""
+    for j in range(0, A.shape[0], _PANEL):
+        k = j + _PANEL
+        A[k:, j:k] = A[j:k, k:].T
+        block = A[j:k, j:k]
+        lower = np.tril_indices(block.shape[0], -1)
+        block[lower] = block.T[lower]
 
 
 def _certified(T, H, mse, c, lams, tol, slack=0.0):

@@ -164,6 +164,23 @@ def default_truncation(p, n_p, budget=None, p1_prime=1, d_cap=64):
     return int(min(p ** 3, budget, admissible_count(p, p1_prime, d_cap)))
 
 
+def _check_input(X, basis):
+    """X as a float array, once it is (n, p1), finite and within the
+    support; the error names the first offending entry."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != basis.p1:
+        raise DimensionError(
+            f"X must be (n, {basis.p1}), got shape {X.shape}")
+    _require_finite(X, "X")
+    a = basis.a
+    over = np.abs(X) > a
+    if np.any(over):
+        i, k = np.argwhere(over)[0]
+        raise SupportError(
+            f"entry ({i}, {k}) = {X[i, k]} outside support [-{a}, {a}]")
+    return X
+
+
 def expand(X, basis):
     """Tensor-product design matrix: entry (i, m) = prod_k phi_{q_mk}(X_ik).
 
@@ -176,17 +193,8 @@ def expand(X, basis):
     straight into the rows of an (M, n) array whose indices use it. The
     result is the transpose of that array: an (n, M) Fortran-ordered view.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != basis.p1:
-        raise DimensionError(
-            f"X must be (n, {basis.p1}), got shape {X.shape}")
-    _require_finite(X, "X")
+    X = _check_input(X, basis)
     a = basis.a
-    over = np.abs(X) > a
-    if np.any(over):
-        i, k = np.argwhere(over)[0]
-        raise SupportError(
-            f"entry ({i}, {k}) = {X[i, k]} outside support [-{a}, {a}]")
     orders = np.array(basis.multi_indices).reshape(len(basis), basis.p1)
     used = orders > 1
     rows, coords = np.nonzero(used)

@@ -1,9 +1,11 @@
 """Feature map fitting, averaging, imputation, and discrepancy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from heterotl import penalized_reg
+from heterotl import feature_map, penalized_reg
 from heterotl.core import (ConfigError, ConvergenceError, Dataset,
                            DimensionError, IncompatibleError,
                            InvalidValueError, SupportError)
@@ -162,6 +164,55 @@ def test_sieve_map_cv_gamma_runs(monkeypatch):
     assert np.all(np.isfinite(model.Theta))
 
 
+def test_sieve_map_expands_one_block_at_a_time(monkeypatch):
+    basis = unravel(2, 1, 10)
+    B = penalized_reg._BLOCK_ROWS
+    n = 2 * B + 7
+    proxy, _ = _sieve_proxy(23, n, basis)
+    rows = []
+
+    def spy(X, basis):
+        rows.append(X.shape[0])
+        return expand(X, basis)
+
+    monkeypatch.setattr(feature_map, "expand", spy)
+    model = fit_sieve_map(proxy, basis, gamma=0.01)
+    assert rows == [B, B, 7]
+    # the streamed fit solves the same problem as one on the whole design
+    Psi = expand(proxy.x, basis)
+    for j, z in enumerate(proxy.z.T):
+        _, ref = pg_lasso(Psi, z, 0.01)
+        obj = objective(Psi, z, 0.01, model.Theta[:, j])
+        assert abs(obj - ref) <= 1e-9 * ref
+
+
+def test_sieve_map_support_error_names_its_row_in_x():
+    basis = unravel(2, 1, 6)
+    B = penalized_reg._BLOCK_ROWS
+    proxy, _ = _sieve_proxy(24, B + 100, basis)
+    X = proxy.x.copy()
+    X[B + 3, 1] = 1.5
+    with pytest.raises(SupportError, match=rf"\({B + 3}, 1\)"):
+        fit_sieve_map(Dataset(X, proxy.y, proxy.z), basis)
+
+
+def test_sieve_map_peak_memory_is_far_below_its_design():
+    # n_p x M = 6000 x 1261 floats would be a 60 MB design; the fit holds
+    # the 12.7 MB gram, one 5.2 MB block and a panel of its update
+    n, M = 6000, 1261
+    B = penalized_reg._BLOCK_ROWS
+    basis = unravel(20, 1, M)
+    proxy, _ = _sieve_proxy(25, n, basis)
+    tracemalloc.start()
+    try:
+        model = fit_sieve_map(proxy, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.Theta.shape == (M, 2)
+    assert peak <= 8 * M * (M + 2 * B)
+
+
 def test_sieve_map_non_convergence_names_column():
     basis = unravel(2, 1, 8)
     rng = np.random.default_rng(10)
@@ -245,6 +296,22 @@ def test_impute_constant_sieve_rows():
     rng = np.random.default_rng(14)
     out = impute(model, rng.uniform(-1.0, 1.0, size=(9, 2)))
     assert np.max(np.abs(out - Theta[0])) < 1e-12
+
+
+def test_impute_sieve_in_blocks_matches_one_shot():
+    basis = unravel(3, 2, 40)
+    rng = np.random.default_rng(26)
+    Theta = rng.standard_normal((40, 3))
+    model = FeatureMapModel("sieve", basis=basis, Theta=Theta,
+                            x_scale=[2.0, 2.0, 2.0])
+    B = penalized_reg._BLOCK_ROWS
+    for n in (0, 5, B, 3 * B + 1):
+        X = rng.uniform(-2.0, 2.0, size=(n, 3))
+        out = impute(model, X)
+        ref = expand(X / 2.0, basis) @ Theta
+        assert out.shape == (n, 3)
+        assert np.max(np.abs(out - ref), initial=0.0) \
+            <= 1e-12 * np.max(np.abs(ref), initial=0.0)
 
 
 def test_impute_linear_in_coefficients():

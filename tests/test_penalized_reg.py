@@ -608,6 +608,34 @@ def test_prox_grad_columns_cap_and_warm_start():
     assert warm_it == 0
 
 
+def test_gram_streamed_in_row_blocks_matches_one_shot():
+    # fewer rows than a block, exactly one block and a short last block,
+    # each with fewer columns than a panel and with more
+    B, W = penalized_reg._BLOCK_ROWS, penalized_reg._PANEL
+    rng = np.random.default_rng(45)
+    for n in (B // 4, B, 3 * B + 1):
+        for p in (W // 4, 2 * W + 37):
+            D = rng.standard_normal((n, p)) + rng.uniform(-2.0, 2.0, p)
+            R = rng.standard_normal((n, 3))
+            G = _Gram(D, R)
+            A, b = D.T @ D / n, D.T @ R / n
+            assert np.array_equal(G.A, G.A.T)
+            assert np.max(np.abs(G.A - A)) <= 1e-13 * np.max(np.abs(A))
+            assert np.max(np.abs(G.b - b)) <= 1e-13 * np.max(np.abs(b))
+            # the design's own row blocks, handed over one at a time
+            blocks = (D[i:i + B] for i in range(0, n, B))
+            S = _Gram(blocks, R)
+            assert np.array_equal(S.A, G.A) and np.array_equal(S.b, G.b)
+
+
+def test_single_block_gram_is_the_one_shot_product():
+    D, y, _ = _instance(46, n=penalized_reg._BLOCK_ROWS, p=30)
+    G = _Gram(D, y)
+    n = D.shape[0]
+    assert np.array_equal(G.A, D.T @ D / n)
+    assert np.array_equal(G.b, D.T @ y / n)
+
+
 def test_lasso_wide_design_uses_certified_solver():
     D, R, lams = _columns_instance(44, 20, 100)
     delta, diag = lasso(D, R[:, 1], lams[1])
