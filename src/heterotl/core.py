@@ -130,10 +130,13 @@ class Dataset:
     z : (n, p2) mismatched covariates, or None when unobserved.
     y : (n,) response.
 
-    Immutable after construction; arrays are validated and copied.
+    Immutable after construction; arrays are validated and copied. A
+    proxy's least-squares fits, which share one factor of its columns,
+    are kept in the private slot _lsq once first computed (see
+    penalized_reg._nested_lstsq); without_z() starts without them.
     """
 
-    __slots__ = ("x", "z", "y")
+    __slots__ = ("x", "z", "y", "_lsq")
 
     def __init__(self, x, y, z=None):
         x = _as_matrix(x, "x")
@@ -162,8 +165,12 @@ class Dataset:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_lsq", None)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Dataset is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Dataset is immutable")
 
     @property

@@ -4,8 +4,11 @@ Four procedures share one target objective. The transfer estimator imputes
 the mismatched block from proxy-trained feature maps, pre-trains reference
 coefficients by averaged proxy least squares, then shrinks the target fit
 toward them with an l1 penalty. The homogeneous baseline does the same on
-the matched block only. The target-only lasso shrinks toward zero. The
-oracle predictor applies true coefficients and exists for benchmarking.
+the matched block only. A proxy's linear map, its reference coefficients
+and its matched-block ones are read off one Householder factor of its
+[X | Z | y], kept on the proxy, so the estimators fit on it share one
+factor. The target-only lasso shrinks toward zero. The oracle predictor
+applies true coefficients and exists for benchmarking.
 The bootstrap refits the transfer estimator's target stage on resampled
 target rows, with the proxy side fit once.
 """
@@ -24,7 +27,8 @@ from .core import (ConfigError, ConvergenceError, Dataset, DimensionError,
 from .feature_map import (FeatureMapModel, average_maps, fit_linear_map,
                           fit_sieve_map, impute)
 from .penalized_reg import (LassoSettings, SolveDiagnostics, _lstsq_minnorm,
-                            cv_lambda, lasso_with_offset, warm_start)
+                            _nested_lstsq, cv_lambda, lasso_with_offset,
+                            warm_start)
 from .sieve_basis import default_truncation, unravel
 
 
@@ -78,10 +82,17 @@ def _check_proxies(proxies):
     return proxies
 
 
-def _mean_minnorm_coefficients(proxies, design):
+def _mean_minnorm_coefficients(proxies, x_only):
+    """Mean over proxies of the coefficients of y on [X | Z], or on X
+    alone, read off each proxy's shared factor (_nested_lstsq) or fit by
+    lstsq where it cannot vouch for full rank."""
     coefs = []
     for k, pr in enumerate(proxies):
-        D = design(pr)
+        fits = _nested_lstsq(pr)
+        if fits is not None:
+            coefs.append(fits.omega_x if x_only else fits.omega)
+            continue
+        D = pr.x if x_only else np.hstack([pr.x, pr.z])
         w, rank = _lstsq_minnorm(D, pr.y)
         if rank < D.shape[1]:
             warnings.warn(
@@ -94,16 +105,17 @@ def _mean_minnorm_coefficients(proxies, design):
 def fit_proxy_coefficients(proxies):
     """Mean of per-proxy least-squares coefficients on the design [X | Z].
 
-    A rank-deficient design gets its minimum-norm solution and a
-    UserWarning that names its rank.
+    Each proxy's coefficients come from the one Householder factor of its
+    [X | Z | y] that its linear map and X-only coefficients share. A
+    design that factor cannot vouch for is fit by lstsq, and a
+    rank-deficient one gets its minimum-norm solution and a UserWarning
+    that names its rank.
     """
-    return _mean_minnorm_coefficients(_check_proxies(proxies),
-                                      lambda pr: np.hstack([pr.x, pr.z]))
+    return _mean_minnorm_coefficients(_check_proxies(proxies), False)
 
 
 def _proxy_x_coefficients(proxies):
-    return _mean_minnorm_coefficients(_check_proxies(proxies),
-                                      lambda pr: pr.x)
+    return _mean_minnorm_coefficients(_check_proxies(proxies), True)
 
 
 def _fit_maps(proxies, map_kind, ridge_tau, gamma, c_gamma, p1_prime,

@@ -24,8 +24,10 @@ import numpy as np
 from .core import (ConfigError, ConvergenceError, DimensionError,
                    IncompatibleError, InvalidValueError, SupportError,
                    _require_finite)
-from .penalized_reg import (LassoSettings, _Gram, _lstsq_minnorm,
-                            _prox_grad_columns, _row_blocks, cv_lambda)
+from .penalized_reg import (LassoSettings, _cv_select, _Gram,
+                            _lstsq_minnorm, _nested_lstsq,
+                            _prox_grad_columns, _row_blocks, default_grid,
+                            null_threshold)
 from .sieve_basis import BasisIndexSet, _check_input, expand
 
 # the name each variant gives its coefficient matrix
@@ -122,11 +124,14 @@ class FeatureMapModel:
 
 
 def fit_linear_map(proxy, tau=0.0):
-    """Least-squares fit of Z on X, one shared factorization for all columns.
+    """Least-squares fit of Z on X.
 
-    tau > 0 adds a ridge shift to the Gram. With tau = 0 and a
-    rank-deficient design the minimum-norm solution is returned and the
-    model carries rank_warning=True.
+    With tau = 0, P = R11^-1 R12 from the Householder factor of the
+    proxy's [X | Z | y], which its reference coefficients share (see
+    penalized_reg._nested_lstsq). A design that factor cannot vouch for
+    is fit by lstsq, and a rank-deficient one gets the minimum-norm
+    solution, a UserWarning and rank_warning=True. tau > 0 adds a ridge
+    shift to the Gram instead.
     """
     if proxy.z is None:
         raise IncompatibleError("proxy dataset has no mismatched block z")
@@ -137,6 +142,9 @@ def fit_linear_map(proxy, tau=0.0):
         G = X.T @ X + tau * np.eye(X.shape[1])
         P = np.linalg.solve(G, X.T @ Z)
         return FeatureMapModel("linear", P=P, ridge_tau=tau)
+    fits = _nested_lstsq(proxy)
+    if fits is not None:
+        return FeatureMapModel("linear", P=fits.P.copy())
     P, rank = _lstsq_minnorm(X, Z)
     deficient = rank < X.shape[1]
     if deficient:
@@ -160,8 +168,9 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
     (8 M^2 bytes). The gram is accumulated from the expansion of one
     block of 512 rows of X at a time, so the fit holds the gram and one
     block, never the n x M expansion; "cv" alone expands every row, for
-    its folds, and solves each fold's grid in one solve on the gram of its
-    training rows. A column with gamma > 0 stops at a duality gap of
+    its folds. Each fold builds one gram of its training rows with every
+    z column as a response, and solves each column's grid in one solve on
+    it. A column with gamma > 0 stops at a duality gap of
     1e-10 of its objective at zero, ||z_j||^2 / n; one with gamma = 0
     (least squares) once its gradient is within settings.tol in every
     coordinate, the only use of tol here. A column open after
@@ -186,14 +195,14 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
     elif gamma == "cv":
         # the folds take rows from the whole expansion, so it is built
         design = Psi = expand(X, basis)
-        # FISTA runs each fold's grid as columns of one solve: on these
-        # wide, well-conditioned designs it picked the trace's gamma about
-        # 7x faster at fig5 scale (M = 1261, one z column, one BLAS thread)
-        zero_off = np.zeros(M)
-        gammas = np.array([cv_lambda(Psi, Z[:, j], zero_off, folds=cv_folds,
-                                     seed=cv_seed, settings=settings,
-                                     _path=_prox_grad_columns)[0]
-                           for j in range(Z.shape[1])])
+        grids = [default_grid(null_threshold(Psi, z)) for z in Z.T.copy()]
+        # one gram per fold serves every z column, and FISTA runs each
+        # column's grid as columns of one solve on it: on these wide,
+        # well-conditioned designs it picked the trace's gamma about 7x
+        # faster at fig5 scale (M = 1261, one z column, one BLAS thread)
+        picks = _cv_select(Psi, Z, np.zeros(M), grids, cv_folds, cv_seed,
+                           settings, _prox_grad_columns)
+        gammas = np.array([lam for lam, _ in picks])
     else:
         if not (gamma >= 0):
             raise ConfigError(f"gamma must be >= 0, got {gamma}")

@@ -33,10 +33,19 @@ solve by a duality gap of at most 1e-10 of P(0) = ||r||^2 / n, not of
 P(delta): at small lam on ill-conditioned designs exact optima sit near
 1e-10 of the primal in floating point. A zero penalty is certified by a
 gradient within settings.tol instead.
+
+Cross-validation builds one gram per fold; a sieve fold's gram carries
+every z column as a response, and each column's grid is solved on its
+own column of it. The unpenalized proxy fits (a linear map, and the
+reference coefficients on [X | Z] and on X) are read off one Householder
+factor of the proxy's [X | Z | y], with lstsq kept for the designs that
+factor cannot vouch for.
 """
 
+import copy
 import warnings
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +60,10 @@ _POWER_ITERS = 30  # power-iteration steps for the top gram eigenvalue
 _LIP_MARGIN = 1.05  # safety margin on that estimate
 _BLOCK_ROWS = 512  # rows per block a gram is accumulated from
 _PANEL = 256  # rows of one panel of a later block's gram update
+# a proxy design whose smallest singular value is within this factor of
+# lstsq's rank cutoff is left to lstsq to judge: the factor's singular
+# values and lstsq's differ by rounding, which must not flip the rank
+_RANK_MARGIN = 16.0
 
 
 @dataclass(frozen=True)
@@ -92,6 +105,57 @@ def _lstsq_minnorm(D, y):
     """Minimum-norm least squares solution and the design rank."""
     w, _, rank, _ = np.linalg.lstsq(D, y, rcond=None)
     return w, rank
+
+
+class _NestedFits(NamedTuple):
+    """A proxy's least-squares fits on its nested designs."""
+    P: np.ndarray  # Z on X
+    omega: np.ndarray  # y on [X | Z]
+    omega_x: np.ndarray  # y on X
+
+
+def _nested_lstsq(proxy):
+    """The _NestedFits of a proxy Dataset, or None where _lstsq_minnorm
+    must fit each design as it stands.
+
+    One Householder factor R of [X | Z | y] (Bjorck 1996, Numerical
+    Methods for Least Squares Problems) gives all three fits:
+    P = R11^-1 R12 and the X-only coefficients R11^-1 r1 from one solve
+    on R11, then [X | Z]'s coefficients w_z = R22^-1 r2 and w_x = R11^-1
+    r1 - P w_z, which is back substitution on R's leading p x p block.
+    They are computed on first use and kept on the (immutable) proxy, so
+    every fit on it shares the factor.
+
+    None unless the factor vouches for full rank: at least p = p1 + p2
+    rows, and a smallest singular value of R's leading block (those of
+    [X | Z]) more than _RANK_MARGIN times lstsq's cutoff eps max(n, p)
+    sigma_max. X, whose columns are among [X | Z]'s, then has full rank
+    too. A design nearer the cutoff keeps lstsq's own rank decision.
+    """
+    if proxy._lsq is None:
+        object.__setattr__(proxy, "_lsq",
+                           (_factor_fits(proxy.x, proxy.z, proxy.y),))
+    return proxy._lsq[0]
+
+
+def _factor_fits(X, Z, y):
+    n, p1 = X.shape
+    p = p1 + Z.shape[1]
+    if n < p:
+        return None
+    R = np.linalg.qr(np.column_stack([X, Z, y]), mode="r")
+    sv = np.linalg.svd(R[:p, :p], compute_uv=False)
+    if not sv[-1] > _RANK_MARGIN * np.finfo(float).eps * n * sv[0]:
+        return None
+    # R's blocks are triangular and nonsingular, so solve's LU pivots on
+    # the diagonal and reduces to back substitution
+    Pw = np.linalg.solve(R[:p1, :p1], R[:p1, p1:])
+    P, omega_x = Pw[:, :-1], Pw[:, -1]
+    w_z = np.linalg.solve(R[p1:p, p1:p], R[p1:p, p])
+    fits = _NestedFits(P, np.concatenate([omega_x - P @ w_z, w_z]), omega_x)
+    for a in fits:
+        a.flags.writeable = False
+    return fits
 
 
 def soft_threshold(v, t):
@@ -219,6 +283,16 @@ class _Gram:
         AT = self.A @ T if T.ndim == 1 else (T.T @ self.A).T
         H = b - AT
         return H, self.c - _coldot(T, b + H)
+
+    def column(self, j):
+        """The single-response gram of response j, sharing A and the
+        column scales; a single-response gram is its own column 0."""
+        if self.b.ndim == 1:
+            return self
+        G = copy.copy(self)
+        G.b, G.c = self.b[:, j].copy(), float(self.c[j])
+        G.b_unit = float(np.max(np.abs(G.b) / G.w, initial=0.0))
+        return G
 
     def slack(self, lams):
         """Per column (and penalty), the |2 H_j| - lam that is rounding."""
@@ -649,34 +723,48 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None,
     """
     D, y = _check_design(D, y, "D", "y")
     omega_hat = np.asarray(omega_hat, dtype=float)
+    if grid is None:
+        grid = default_grid(null_threshold(D, y - D @ omega_hat))
+    (best, path), = _cv_select(D, y, omega_hat, [grid], folds, seed,
+                               settings or LassoSettings(),
+                               _path or _lasso_path)
+    return best, path
+
+
+def _cv_select(D, Y, omega_hat, grids, folds, seed, settings, path):
+    """cv_lambda's (best_lam, path) for each response: Y is one response,
+    with grids holding its grid, or an (n, m) matrix whose column j has
+    grid grids[j], all offset by omega_hat. Each fold builds one _Gram of
+    its training rows with every response and solves each response's
+    grid on that response's column of it (_Gram.column) by path."""
     n = D.shape[0]
     if folds < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
     if n < folds:
         raise ConfigError(f"need n >= folds, got n={n}, folds={folds}")
-    if grid is None:
-        grid = default_grid(null_threshold(D, y - D @ omega_hat))
-    grid = np.unique(np.asarray(grid, dtype=float))[::-1]
-    if grid.size == 0:
-        raise ConfigError("lambda grid is empty")
-    if np.any(grid < 0):
-        raise ConfigError("lambda grid must be nonnegative")
-    if settings is None:
-        settings = LassoSettings()
-    if _path is None:
-        _path = _lasso_path
+    grids = [np.unique(np.asarray(g, dtype=float))[::-1] for g in grids]
+    for grid in grids:
+        if grid.size == 0:
+            raise ConfigError("lambda grid is empty")
+        if np.any(grid < 0):
+            raise ConfigError("lambda grid must be nonnegative")
     perm = np.random.default_rng(seed).permutation(n)
     blocks = np.array_split(perm, folds)
-    errs = np.zeros((grid.size, folds))
+    errs = [np.zeros((grid.size, folds)) for grid in grids]
     for f, val_idx in enumerate(blocks):
         mask = np.ones(n, dtype=bool)
         mask[val_idx] = False
-        D_tr, y_tr = D[mask], y[mask]
-        D_val, y_val = D[val_idx], y[val_idx]
-        G = _Gram(D_tr, y_tr - D_tr @ omega_hat)
-        Delta, _, _ = _path(G, grid, settings)
-        preds = D_val @ (omega_hat[:, None] + Delta)
-        errs[:, f] = np.mean(np.abs(preds - y_val[:, None]), axis=0)
-    mean_errs = errs.mean(axis=1)
-    best = int(np.argmin(mean_errs))  # first hit is the largest lam
-    return float(grid[best]), np.column_stack([grid, mean_errs])
+        D_tr, D_val = D[mask], D[val_idx]
+        # the offset comes off each response (each column of a matrix Y)
+        G = _Gram(D_tr, (Y[mask].T - D_tr @ omega_hat).T)
+        Y_val = Y[val_idx].reshape(val_idx.size, -1)
+        for j, grid in enumerate(grids):
+            Delta, _, _ = path(G.column(j), grid, settings)
+            preds = D_val @ (omega_hat[:, None] + Delta)
+            errs[j][:, f] = np.mean(np.abs(preds - Y_val[:, j, None]), axis=0)
+    picks = []
+    for grid, err in zip(grids, errs):
+        mean_errs = err.mean(axis=1)
+        best = int(np.argmin(mean_errs))  # first hit is the largest lam
+        picks.append((float(grid[best]), np.column_stack([grid, mean_errs])))
+    return picks

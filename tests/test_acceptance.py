@@ -5,19 +5,22 @@ same replication runs. Budgets are wall-clock on a single worker.
 """
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from heterotl.cli import main as cli_main
 from heterotl.core import Dataset
-from heterotl.feature_map import (average_maps, fit_linear_map,
+from heterotl.estimators import _fit_maps
+from heterotl.feature_map import (average_maps, fit_linear_map, impute,
                                   map_discrepancy)
 from heterotl.penalized_reg import (LassoSettings, kkt_check, lasso,
                                     lasso_with_offset, null_threshold,
                                     objective)
 from heterotl.sieve_basis import expand, unravel
-from heterotl.simulation import (SimConfig, gen_linear_scenario,
+from heterotl.simulation import (SimConfig, _h_values, gen_linear_scenario,
+                                 gen_scenario, rep_seed_for,
                                  run_replications)
 from oracles import offset_objective, pg_lasso, pg_objective
 
@@ -235,3 +238,47 @@ def test_wide_target_fits_and_htl_leads():
            for m in ("htl", "homogeneous", "target_lasso")}
     assert med["htl"] < med["homogeneous"] < med["target_lasso"], med
     assert time.perf_counter() - start < 120.0
+
+
+def _sieve_rmse(n_p, M, reps=8):
+    """Mean over replications 0..reps-1 of the fig5 fixture's master seed
+    of the sieve imputation RMSE on the test rows against the target's
+    true map mean h, with the map fit at n_p proxy rows and M = budget
+    basis functions (gamma="auto")."""
+    config = SimConfig(scenario="nonlinear", K=2, n_p=n_p, n_t=50, p1=20,
+                       p2=20, n_test=200, seed=77)
+    settings = LassoSettings(max_iters=3000, tol=1e-7)
+    errs = []
+    for r in range(reps):
+        scen = gen_scenario(config, rep_seed_for(config.seed, r))
+        model = _fit_maps(scen.proxies, "sieve", ridge_tau=0.0,
+                          gamma="auto", c_gamma=1.0, p1_prime=1, budget=M,
+                          d_cap=64, settings=settings, cv_folds=5,
+                          cv_seed=0)
+        assert model.coef.shape[0] == M
+        with warnings.catch_warnings():
+            # test rows a little beyond the proxies' range are clamped
+            warnings.simplefilter("ignore", UserWarning)
+            zhat = impute(model, scen.test.x, clamp_tol=0.01)
+        h = _h_values(scen.test.x)[:, None]
+        errs.append(np.sqrt(np.mean((zhat - h) ** 2)))
+    return float(np.mean(errs))
+
+
+def test_sieve_imputation_error_falls_with_proxy_sample_size():
+    # the abstract's dependence on sample size, for the sieve map at a
+    # fixed complexity M = 201 on the fig5 fixture's master seed
+    start = time.perf_counter()
+    rmse = [_sieve_rmse(n_p, 201) for n_p in (500, 1500, 3000)]
+    assert rmse[0] > rmse[1] > rmse[2], rmse
+    assert time.perf_counter() - start < 60.0
+
+
+def test_sieve_imputation_error_rises_with_surplus_complexity():
+    # the abstract's dependence on model complexity: at n_p = 3000 the
+    # default M = 1261 imputes worse than M = 201 on the fig5 fixture's
+    # master seed
+    start = time.perf_counter()
+    small, large = _sieve_rmse(3000, 201), _sieve_rmse(3000, 1261)
+    assert large > small, (small, large)
+    assert time.perf_counter() - start < 60.0

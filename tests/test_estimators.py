@@ -1,5 +1,6 @@
 """End-to-end estimators, prediction, and model serialization."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -13,8 +14,10 @@ from heterotl.estimators import (HtlModel, _proxy_x_coefficients,
                                  fit_proxy_coefficients, fit_target_lasso,
                                  load_model, oracle_predict, predict,
                                  save_model)
-from heterotl.feature_map import FeatureMapModel, fit_sieve_map, impute
-from heterotl.penalized_reg import (LassoSettings, _lstsq_minnorm,
+from heterotl.feature_map import (FeatureMapModel, fit_linear_map,
+                                  fit_sieve_map, impute)
+from heterotl.penalized_reg import (_RANK_MARGIN, LassoSettings,
+                                    _lstsq_minnorm, _nested_lstsq,
                                     lasso_with_offset, null_threshold)
 from heterotl.sieve_basis import unravel
 from heterotl.simulation import gen_linear_scenario
@@ -44,11 +47,20 @@ def _linear_world(seed, K=2, n_p=400, n_t=50, p1=4, p2=3, delta_scale=1.0,
     return proxies, Dataset(X_t, y_t), beta, P
 
 
+def _assert_least_squares(w, D, Y):
+    """w agrees with oracles.ols within 1e-12 of its largest coefficient,
+    and solves the normal equations D'(Y - D w) = 0 to rounding."""
+    ref = ols(D, Y)
+    assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+    scale = np.abs(D).T @ (np.abs(Y) + np.abs(D) @ np.abs(w))
+    assert np.all(np.abs(D.T @ (Y - D @ w)) <= 1e-13 * scale)
+
+
 def test_proxy_coefficients_single_is_ols():
     proxies, _, _, _ = _linear_world(0, K=1)
     pr = proxies[0]
     D = np.hstack([pr.x, pr.z])
-    assert np.array_equal(fit_proxy_coefficients(proxies), ols(D, pr.y))
+    _assert_least_squares(fit_proxy_coefficients(proxies), D, pr.y)
 
 
 def test_proxy_coefficients_identical_proxies():
@@ -94,6 +106,110 @@ def test_proxy_coefficients_warn_on_rank_deficient_design():
     dup_x = Dataset(np.hstack([pr.x, pr.x[:, :1]]), pr.y, pr.z)
     with pytest.warns(UserWarning, match=r"proxy 1 .*rank 4 < 5"):
         _proxy_x_coefficients([dup_x])
+
+
+def test_proxy_factor_serves_both_estimators_without_lstsq(monkeypatch):
+    proxies, target, _, _ = _linear_world(30)
+    factors, solves = [], []
+    qr, lstsq = np.linalg.qr, np.linalg.lstsq
+
+    def qr_spy(a, *args, **kwargs):
+        factors.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    def lstsq_spy(*args, **kwargs):
+        solves.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq_spy)
+    fit_htl(proxies, target)
+    fit_homogeneous(proxies, target)
+    # one factor of [X | Z | y] per proxy, and no least-squares solve
+    assert factors == [(400, 8), (400, 8)]
+    assert solves == []
+
+
+@pytest.mark.parametrize("p", [3, 20, 120])
+def test_proxy_factor_fits_match_ols(p):
+    proxies, _, _, _ = _linear_world(31, K=1, n_p=600, p1=p, p2=p)
+    pr = proxies[0]
+    assert _nested_lstsq(pr) is not None
+    for w, D, Y in ((fit_linear_map(pr).P, pr.x, pr.z),
+                    (fit_proxy_coefficients(proxies),
+                     np.hstack([pr.x, pr.z]), pr.y),
+                    (_proxy_x_coefficients(proxies), pr.x, pr.y)):
+        ref = ols(D, Y)
+        assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_short_proxy_falls_back_with_the_same_warnings():
+    # fewer rows than columns: each design goes to lstsq as it stands,
+    # and each warning names its rank and points at the caller's line
+    rng = np.random.default_rng(32)
+    short = Dataset(rng.standard_normal((3, 4)), rng.standard_normal(3),
+                    rng.standard_normal((3, 3)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno
+        model = fit_linear_map(short)
+        omega = fit_proxy_coefficients([short])
+        omega1 = _proxy_x_coefficients([short])
+    assert _nested_lstsq(short) is None
+    assert [str(w.message) for w in caught] == [
+        "proxy design has rank 3 < 4; minimum-norm map fitted",
+        "proxy 1 design has rank 3 < 7; minimum-norm coefficients fitted",
+        "proxy 1 design has rank 3 < 4; minimum-norm coefficients fitted"]
+    assert [(w.filename, w.lineno) for w in caught] == \
+        [(__file__, line + k) for k in (1, 2, 3)]
+    assert model.rank_warning
+    D = np.hstack([short.x, short.z])
+    for w, ref in ((model.P, _lstsq_minnorm(short.x, short.z)[0]),
+                   (omega, _lstsq_minnorm(D, short.y)[0]),
+                   (omega1, _lstsq_minnorm(short.x, short.y)[0])):
+        assert np.array_equal(w, ref)
+
+
+def test_nearly_dependent_proxy_keeps_lstsq_rank_decision():
+    # [X | Z] with singular values (1, 1, 1, 1, s): lstsq reads full rank
+    # for s above its cutoff eps * n, the factor only for s above
+    # _RANK_MARGIN times that; in between, lstsq fits as it stands
+    rng = np.random.default_rng(33)
+    n = 60
+    cutoff = np.finfo(float).eps * n
+    U = np.linalg.qr(rng.standard_normal((n, 5)))[0]
+    V = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    y = rng.standard_normal(n)
+    for s, factored in ((4.0 * cutoff, False),
+                        (4.0 * _RANK_MARGIN * cutoff, True)):
+        D = U @ np.diag([1.0, 1.0, 1.0, 1.0, s]) @ V.T
+        pr = Dataset(D[:, :3], y, D[:, 3:])
+        assert _lstsq_minnorm(D, y)[1] == 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            omega = fit_proxy_coefficients([pr])
+            P = fit_linear_map(pr).P
+        assert (_nested_lstsq(pr) is not None) == factored
+        if not factored:
+            assert np.array_equal(omega, _lstsq_minnorm(D, y)[0])
+            assert np.array_equal(P, _lstsq_minnorm(pr.x, pr.z)[0])
+
+
+def test_proxy_factor_slot_is_private_and_stays_behind():
+    proxies, _, _, _ = _linear_world(34, K=1)
+    pr = proxies[0]
+    fits = _nested_lstsq(pr)
+    with pytest.raises(AttributeError):
+        pr._lsq = None
+    with pytest.raises(AttributeError):
+        del pr._lsq
+    assert _nested_lstsq(pr) is fits
+    with pytest.raises(ValueError):
+        fits.omega[0] = 0.0
+    # the map a caller gets is its own copy
+    fit_linear_map(pr).P[0, 0] = 0.0
+    assert fits.P[0, 0] != 0.0
+    assert pr.without_z()._lsq is None
 
 
 def test_htl_degenerate_chain_recovers_truth():
@@ -227,11 +343,14 @@ def test_homogeneous_is_x_only_offset_lasso():
     proxies, target, _, _ = _linear_world(12)
     lam = 0.25
     fit = fit_homogeneous(proxies, target, lam=lam)
-    coefs = [_lstsq_minnorm(pr.x, pr.y)[0] for pr in proxies]
+    coefs = [ols(pr.x, pr.y) for pr in proxies]
     omega1 = np.mean(coefs, axis=0)
     beta, delta, _ = lasso_with_offset(target.x, target.y, omega1, lam,
                                        LassoSettings(tol=1e-12))
-    assert np.array_equal(fit.omega_hat, omega1)
+    assert np.max(np.abs(fit.omega_hat - omega1)) \
+        <= 1e-12 * np.max(np.abs(omega1))
+    for pr in proxies:
+        _assert_least_squares(_proxy_x_coefficients([pr]), pr.x, pr.y)
     assert np.max(np.abs(fit.beta_hat - beta)) < 1e-7
     assert fit.method == "homogeneous"
 

@@ -12,7 +12,8 @@ from heterotl.core import (ConfigError, ConvergenceError, Dataset,
 from heterotl.feature_map import (FeatureMapModel, average_maps,
                                   fit_linear_map, fit_sieve_map, impute,
                                   map_discrepancy)
-from heterotl.penalized_reg import LassoSettings, null_threshold, objective
+from heterotl.penalized_reg import (LassoSettings, _prox_grad_columns,
+                                    cv_lambda, null_threshold, objective)
 from heterotl.sieve_basis import expand, unravel
 from oracles import padded_average, pg_lasso, spectral_norm_svd
 
@@ -162,6 +163,39 @@ def test_sieve_map_cv_gamma_runs(monkeypatch):
     model = fit_sieve_map(proxy, basis, gamma="cv", cv_folds=3)
     assert model.Theta.shape == (6, 2)
     assert np.all(np.isfinite(model.Theta))
+
+
+def test_sieve_map_cv_gamma_builds_one_gram_per_fold(monkeypatch):
+    # every z column reads its fold gram off one gram of the fold's
+    # training rows, and picks the gamma that one cv_lambda per column
+    # picks on the whole expansion
+    basis = unravel(2, 1, 12)
+    proxy, _ = _sieve_proxy(25, 90, basis, p2=4)
+    rng = np.random.default_rng(26)
+    proxy = Dataset(proxy.x, proxy.y,
+                    proxy.z + 0.3 * rng.standard_normal(proxy.z.shape))
+    grams, solves = [], []
+
+    class Spy(penalized_reg._Gram):
+        def __init__(self, *args):
+            grams.append(args[1].shape)
+            super().__init__(*args)
+
+    def solve(G, lams, settings):
+        solves.append(lams)
+        return _prox_grad_columns(G, lams, settings)
+
+    with monkeypatch.context() as m:
+        m.setattr(penalized_reg, "_Gram", Spy)
+        m.setattr(feature_map, "_Gram", Spy)
+        m.setattr(feature_map, "_prox_grad_columns", solve)
+        fit_sieve_map(proxy, basis, gamma="cv", cv_folds=3, cv_seed=4)
+    assert grams == [(60, 4)] * 3 + [(90, 4)]
+    Psi = expand(proxy.x, basis)
+    per_column = [cv_lambda(Psi, z, np.zeros(len(basis)), folds=3, seed=4,
+                            _path=_prox_grad_columns)[0]
+                  for z in proxy.z.T]
+    assert np.array_equal(solves[-1], per_column)
 
 
 def test_sieve_map_expands_one_block_at_a_time(monkeypatch):
