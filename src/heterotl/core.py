@@ -131,9 +131,9 @@ class Dataset:
     y : (n,) response.
 
     Immutable after construction; arrays are validated and copied. A
-    proxy's least-squares fits, which share one factor of its columns,
-    are kept in the private slot _lsq once first computed (see
-    penalized_reg._nested_lstsq); without_z() starts without them.
+    proxy's least-squares fits (penalized_reg._nested_lstsq) are kept in
+    the private slot _lsq once first computed; without_z() starts
+    without them.
     """
 
     __slots__ = ("x", "z", "y", "_lsq")

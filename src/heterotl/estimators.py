@@ -26,9 +26,8 @@ from .core import (ConfigError, ConvergenceError, Dataset, DimensionError,
                    fit_centering, write_atomic)
 from .feature_map import (FeatureMapModel, average_maps, fit_linear_map,
                           fit_sieve_map, impute)
-from .penalized_reg import (LassoSettings, SolveDiagnostics, _lstsq_minnorm,
-                            _nested_lstsq, cv_lambda, lasso_with_offset,
-                            warm_start)
+from .penalized_reg import (LassoSettings, SolveDiagnostics, _nested_lstsq,
+                            cv_lambda, lasso_with_offset, warm_start)
 from .sieve_basis import default_truncation, unravel
 
 
@@ -84,19 +83,17 @@ def _check_proxies(proxies):
 
 def _mean_minnorm_coefficients(proxies, x_only):
     """Mean over proxies of the coefficients of y on [X | Z], or on X
-    alone, read off each proxy's shared factor (_nested_lstsq) or fit by
-    lstsq where it cannot vouch for full rank."""
+    alone, read off each proxy's shared fits (_nested_lstsq)."""
     coefs = []
     for k, pr in enumerate(proxies):
         fits = _nested_lstsq(pr)
-        if fits is not None:
-            coefs.append(fits.omega_x if x_only else fits.omega)
-            continue
-        D = pr.x if x_only else np.hstack([pr.x, pr.z])
-        w, rank = _lstsq_minnorm(D, pr.y)
-        if rank < D.shape[1]:
+        if x_only:
+            w, rank, cols = fits.omega_x, fits.rank_x, pr.p1
+        else:
+            w, rank, cols = fits.omega, fits.rank, pr.p1 + pr.p2
+        if rank < cols:
             warnings.warn(
-                f"proxy {k + 1} design has rank {rank} < {D.shape[1]}; "
+                f"proxy {k + 1} design has rank {rank} < {cols}; "
                 "minimum-norm coefficients fitted", UserWarning, stacklevel=3)
         coefs.append(w)
     return np.mean(coefs, axis=0)

@@ -24,8 +24,7 @@ import numpy as np
 from .core import (ConfigError, ConvergenceError, DimensionError,
                    IncompatibleError, InvalidValueError, SupportError,
                    _require_finite)
-from .penalized_reg import (LassoSettings, _cv_select, _Gram,
-                            _lstsq_minnorm, _nested_lstsq,
+from .penalized_reg import (LassoSettings, _cv_select, _Gram, _nested_lstsq,
                             _prox_grad_columns, _row_blocks, default_grid,
                             null_threshold)
 from .sieve_basis import BasisIndexSet, _check_input, expand
@@ -143,15 +142,12 @@ def fit_linear_map(proxy, tau=0.0):
         P = np.linalg.solve(G, X.T @ Z)
         return FeatureMapModel("linear", P=P, ridge_tau=tau)
     fits = _nested_lstsq(proxy)
-    if fits is not None:
-        return FeatureMapModel("linear", P=fits.P.copy())
-    P, rank = _lstsq_minnorm(X, Z)
-    deficient = rank < X.shape[1]
+    deficient = fits.rank_x < X.shape[1]
     if deficient:
         warnings.warn(
-            f"proxy design has rank {rank} < {X.shape[1]}; "
+            f"proxy design has rank {fits.rank_x} < {X.shape[1]}; "
             "minimum-norm map fitted", UserWarning, stacklevel=2)
-    return FeatureMapModel("linear", P=P, rank_warning=deficient)
+    return FeatureMapModel("linear", P=fits.P.copy(), rank_warning=deficient)
 
 
 def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,

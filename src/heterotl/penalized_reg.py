@@ -108,34 +108,43 @@ def _lstsq_minnorm(D, y):
 
 
 class _NestedFits(NamedTuple):
-    """A proxy's least-squares fits on its nested designs."""
+    """A proxy's least-squares fits on its nested designs, and their ranks."""
     P: np.ndarray  # Z on X
     omega: np.ndarray  # y on [X | Z]
     omega_x: np.ndarray  # y on X
+    rank_x: int  # rank of X
+    rank: int  # rank of [X | Z]
 
 
 def _nested_lstsq(proxy):
-    """The _NestedFits of a proxy Dataset, or None where _lstsq_minnorm
-    must fit each design as it stands.
+    """The _NestedFits of a proxy Dataset, computed on first use and kept
+    on the (immutable) proxy, so that every fit on it shares them.
 
     One Householder factor R of [X | Z | y] (Bjorck 1996, Numerical
     Methods for Least Squares Problems) gives all three fits:
     P = R11^-1 R12 and the X-only coefficients R11^-1 r1 from one solve
     on R11, then [X | Z]'s coefficients w_z = R22^-1 r2 and w_x = R11^-1
     r1 - P w_z, which is back substitution on R's leading p x p block.
-    They are computed on first use and kept on the (immutable) proxy, so
-    every fit on it shares the factor.
 
-    None unless the factor vouches for full rank: at least p = p1 + p2
-    rows, and a smallest singular value of R's leading block (those of
-    [X | Z]) more than _RANK_MARGIN times lstsq's cutoff eps max(n, p)
-    sigma_max. X, whose columns are among [X | Z]'s, then has full rank
-    too. A design nearer the cutoff keeps lstsq's own rank decision.
+    The factor serves only where it vouches for full rank: at least
+    p = p1 + p2 rows, and a smallest singular value of R's leading block
+    (those of [X | Z]) more than _RANK_MARGIN times lstsq's cutoff
+    eps max(n, p) sigma_max. X, whose columns are among [X | Z]'s, then
+    has full rank too. Any other proxy keeps lstsq's own rank decision:
+    _lstsq_minnorm fits each design as it stands.
     """
     if proxy._lsq is None:
-        object.__setattr__(proxy, "_lsq",
-                           (_factor_fits(proxy.x, proxy.z, proxy.y),))
-    return proxy._lsq[0]
+        X, Z, y = proxy.x, proxy.z, proxy.y
+        fits = _factor_fits(X, Z, y)
+        if fits is None:
+            P, rank_x = _lstsq_minnorm(X, Z)
+            omega, rank = _lstsq_minnorm(np.hstack([X, Z]), y)
+            fits = _NestedFits(P, omega, _lstsq_minnorm(X, y)[0], rank_x,
+                               rank)
+        for a in fits[:3]:
+            a.flags.writeable = False
+        object.__setattr__(proxy, "_lsq", fits)
+    return proxy._lsq
 
 
 def _factor_fits(X, Z, y):
@@ -144,18 +153,23 @@ def _factor_fits(X, Z, y):
     if n < p:
         return None
     R = np.linalg.qr(np.column_stack([X, Z, y]), mode="r")
+    cut = _RANK_MARGIN * np.finfo(float).eps * n
+    # the diagonal holds the eigenvalues of the triangular block, which lie
+    # between its extreme singular values: a short one refuses the proxy
+    # without the SVD
+    d = np.abs(np.diag(R)[:p])
+    if not d.min() > cut * d.max():
+        return None
     sv = np.linalg.svd(R[:p, :p], compute_uv=False)
-    if not sv[-1] > _RANK_MARGIN * np.finfo(float).eps * n * sv[0]:
+    if not sv[-1] > cut * sv[0]:
         return None
     # R's blocks are triangular and nonsingular, so solve's LU pivots on
     # the diagonal and reduces to back substitution
     Pw = np.linalg.solve(R[:p1, :p1], R[:p1, p1:])
     P, omega_x = Pw[:, :-1], Pw[:, -1]
     w_z = np.linalg.solve(R[p1:p, p1:p], R[p1:p, p])
-    fits = _NestedFits(P, np.concatenate([omega_x - P @ w_z, w_z]), omega_x)
-    for a in fits:
-        a.flags.writeable = False
-    return fits
+    return _NestedFits(P, np.concatenate([omega_x - P @ w_z, w_z]), omega_x,
+                       p1, p)
 
 
 def soft_threshold(v, t):

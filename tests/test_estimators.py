@@ -56,6 +56,18 @@ def _assert_least_squares(w, D, Y):
     assert np.all(np.abs(D.T @ (Y - D @ w)) <= 1e-13 * scale)
 
 
+def _spy(monkeypatch, name):
+    """The argument tuples of every np.linalg.<name> call from now on."""
+    calls, f = [], getattr(np.linalg, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
 def test_proxy_coefficients_single_is_ols():
     proxies, _, _, _ = _linear_world(0, K=1)
     pr = proxies[0]
@@ -110,31 +122,23 @@ def test_proxy_coefficients_warn_on_rank_deficient_design():
 
 def test_proxy_factor_serves_both_estimators_without_lstsq(monkeypatch):
     proxies, target, _, _ = _linear_world(30)
-    factors, solves = [], []
-    qr, lstsq = np.linalg.qr, np.linalg.lstsq
-
-    def qr_spy(a, *args, **kwargs):
-        factors.append(a.shape)
-        return qr(a, *args, **kwargs)
-
-    def lstsq_spy(*args, **kwargs):
-        solves.append(args)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", qr_spy)
-    monkeypatch.setattr(np.linalg, "lstsq", lstsq_spy)
+    factors = _spy(monkeypatch, "qr")
+    solves = _spy(monkeypatch, "lstsq")
     fit_htl(proxies, target)
     fit_homogeneous(proxies, target)
     # one factor of [X | Z | y] per proxy, and no least-squares solve
-    assert factors == [(400, 8), (400, 8)]
+    assert [args[0].shape for args in factors] == [(400, 8), (400, 8)]
     assert solves == []
 
 
 @pytest.mark.parametrize("p", [3, 20, 120])
-def test_proxy_factor_fits_match_ols(p):
+def test_proxy_factor_fits_match_ols(p, monkeypatch):
     proxies, _, _, _ = _linear_world(31, K=1, n_p=600, p1=p, p2=p)
     pr = proxies[0]
-    assert _nested_lstsq(pr) is not None
+    with monkeypatch.context() as m:
+        solves = _spy(m, "lstsq")
+        assert _nested_lstsq(pr)[3:] == (p, 2 * p)
+    assert solves == []
     for w, D, Y in ((fit_linear_map(pr).P, pr.x, pr.z),
                     (fit_proxy_coefficients(proxies),
                      np.hstack([pr.x, pr.z]), pr.y),
@@ -155,7 +159,7 @@ def test_short_proxy_falls_back_with_the_same_warnings():
         model = fit_linear_map(short)
         omega = fit_proxy_coefficients([short])
         omega1 = _proxy_x_coefficients([short])
-    assert _nested_lstsq(short) is None
+    assert _nested_lstsq(short)[3:] == (3, 3)
     assert [str(w.message) for w in caught] == [
         "proxy design has rank 3 < 4; minimum-norm map fitted",
         "proxy 1 design has rank 3 < 7; minimum-norm coefficients fitted",
@@ -170,10 +174,11 @@ def test_short_proxy_falls_back_with_the_same_warnings():
         assert np.array_equal(w, ref)
 
 
-def test_nearly_dependent_proxy_keeps_lstsq_rank_decision():
+def test_nearly_dependent_proxy_keeps_lstsq_rank_decision(monkeypatch):
     # [X | Z] with singular values (1, 1, 1, 1, s): lstsq reads full rank
     # for s above its cutoff eps * n, the factor only for s above
     # _RANK_MARGIN times that; in between, lstsq fits as it stands
+    solves = _spy(monkeypatch, "lstsq")
     rng = np.random.default_rng(33)
     n = 60
     cutoff = np.finfo(float).eps * n
@@ -185,14 +190,31 @@ def test_nearly_dependent_proxy_keeps_lstsq_rank_decision():
         D = U @ np.diag([1.0, 1.0, 1.0, 1.0, s]) @ V.T
         pr = Dataset(D[:, :3], y, D[:, 3:])
         assert _lstsq_minnorm(D, y)[1] == 5
+        del solves[:]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             omega = fit_proxy_coefficients([pr])
             P = fit_linear_map(pr).P
-        assert (_nested_lstsq(pr) is not None) == factored
+        # the fallback fits X -> Z, [X | Z] -> y and X -> y, once each
+        assert len(solves) == (0 if factored else 3)
+        assert _nested_lstsq(pr)[3:] == (3, 5)
         if not factored:
             assert np.array_equal(omega, _lstsq_minnorm(D, y)[0])
             assert np.array_equal(P, _lstsq_minnorm(pr.x, pr.z)[0])
+
+
+def test_dependent_proxy_is_refused_before_the_svd(monkeypatch):
+    # a repeated column leaves a diagonal entry of R at rounding level,
+    # which bounds the smallest singular value: no SVD is needed to refuse
+    proxies, _, _, _ = _linear_world(35, K=1)
+    pr = proxies[0]
+    dup = Dataset(pr.x, pr.y, np.hstack([pr.z, pr.x[:, 1:2]]))
+    svds, solves = _spy(monkeypatch, "svd"), _spy(monkeypatch, "lstsq")
+    with pytest.warns(UserWarning, match=r"rank 7 < 8"):
+        omega = fit_proxy_coefficients([dup])
+    assert svds == [] and len(solves) == 3
+    assert np.array_equal(
+        omega, _lstsq_minnorm(np.hstack([dup.x, dup.z]), dup.y)[0])
 
 
 def test_proxy_factor_slot_is_private_and_stays_behind():
