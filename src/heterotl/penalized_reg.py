@@ -25,10 +25,11 @@ active columns; an eigendecomposition takes over wherever that inverse
 cannot vouch for its own direction, and decides where a singular block
 stops the trace. One product certifies all traced points, or a given
 warm start. A point that does not certify is finished by an exact
-active-set method (feature-sign search), then by an accelerated
-proximal-gradient matrix solver on the same gram. That matrix solver
-alone fits the sieve map's many responses, and each of its
-cross-validation folds' grids as columns of one solve. All certify a
+active-set method (feature-sign search) on the same gram, and is
+returned as it stands, flagged, if that does not certify it either.
+The sieve stage has its own solver: an accelerated proximal-gradient
+matrix solver fits the sieve map's many responses, and each of its
+cross-validation folds' grids as columns of one solve. Both certify a
 solve by a duality gap of at most 1e-10 of P(0) = ||r||^2 / n, not of
 P(delta): at small lam on ill-conditioned designs exact optima sit near
 1e-10 of the primal in floating point. A zero penalty is certified by a
@@ -99,6 +100,15 @@ def _check_design(D, v, dname="D", vname="r"):
     _require_finite(D, dname)
     _require_finite(v, vname)
     return D, v
+
+
+def _check_offset(D, omega_hat):
+    """omega_hat as a float vector with one entry per column of D."""
+    omega_hat = np.asarray(omega_hat, dtype=float)
+    if omega_hat.shape != (D.shape[1],):
+        raise DimensionError(
+            f"omega_hat must have length {D.shape[1]}, got {omega_hat.shape}")
+    return omega_hat
 
 
 def _lstsq_minnorm(D, y):
@@ -357,8 +367,8 @@ def _certified(T, H, mse, c, lams, tol, slack=0.0):
     return np.where(lams > 0.0, gap <= _GAP_TOL * c, 2.0 * hmax <= tol)
 
 
-def _prox_grad_columns(G, lams, settings, Theta0=None):
-    """Accelerated proximal gradient run jointly over lams on the gram G.
+def _prox_grad_columns(G, lams, settings):
+    """The sieve stage's accelerated proximal gradient, jointly over lams.
 
     Column l solves the lasso with penalty lams[l] and response l of G
     (or G's one response), and all columns share each matrix product:
@@ -370,9 +380,9 @@ def _prox_grad_columns(G, lams, settings, Theta0=None):
     per-column flags).
     """
     lams = np.asarray(lams, dtype=float)
-    Theta = np.zeros((G.w.size, lams.size)) if Theta0 is None \
-        else np.array(Theta0, dtype=float)
-    Theta[G.zero_var] = 0.0
+    # from zero: a zero-variance column's rows of A and b are exactly 0,
+    # so its row of Theta stays at 0 without a pin
+    Theta = np.zeros((G.w.size, lams.size))
     # the gradient of the mean squares is -2 H, Lipschitz with 2 * top
     lip = 2.0 * _LIP_MARGIN * _top_eigenvalue(G.A)
     H, mse = G.state(Theta)
@@ -428,7 +438,8 @@ def _feature_sign(G, lam, x, cap, tol):
     of |2 (A x - b)_j| <= lam joins S. If A_SS is singular and the right
     side reaches its null space, the round moves along that null direction
     to the first sign change, which the l1 term guarantees. Returns (x,
-    rounds, certified) once no violator exceeds rounding or after cap rounds.
+    rounds, certified) once no violator exceeds rounding, once a round
+    finds no descent, or after cap rounds.
     """
     w = G.w
     x = x.copy()
@@ -460,7 +471,7 @@ def _feature_sign(G, lam, x, cap, tol):
                            where=signs * step < 0.0)
         k = int(ratios.argmin())
         stationary, t = not ratios[k] < t, min(t, ratios[k])
-        if not 0.0 < t < np.inf:  # no descent: leave it to the fallback
+        if not 0.0 < t < np.inf:  # no descent: return x as it stands
             return done()
         x[S] += t * step
         if not stationary:
@@ -619,10 +630,10 @@ def _lasso_path(G, lams, settings, x0=None):
     starts from x0 instead. One product certifies the traced points, or
     x0. Each point left uncertified, or that the trace stopped short of,
     runs _feature_sign from its traced value (or from the previous
-    point's solution), then _prox_grad_columns on G if still uncertified.
-    settings.max_iters caps the trace's events, the rounds and the
-    iterations of the whole call together. Returns (Delta, iterations,
-    flags).
+    point's solution); a point that still does not certify is returned as
+    it stands, flagged False. settings.max_iters caps the trace's events
+    and the rounds of the whole call together. Returns (Delta, events
+    plus rounds, flags).
     """
     p = G.w.size
     lams = np.asarray(lams, dtype=float)
@@ -641,13 +652,9 @@ def _lasso_path(G, lams, settings, x0=None):
         if i < ok.size:
             x, conv[l] = X[:, i], ok[i]
         if not conv[l]:
-            left = settings.max_iters - iters
-            x, it, conv[l] = _feature_sign(G, lams[l], x, left, settings.tol)
-            if not conv[l] and it < left:
-                rest = LassoSettings(left - it, settings.tol)
-                T, more, flags = _prox_grad_columns(
-                    G, lams[l:l + 1], rest, x[:, None])
-                x, it, conv[l] = T[:, 0], it + more, flags[0]
+            x, it, conv[l] = _feature_sign(G, lams[l], x,
+                                           settings.max_iters - iters,
+                                           settings.tol)
             iters += it
         Delta[:, l] = x
     return Delta, iters, conv
@@ -661,15 +668,13 @@ def lasso(D, r, lam, settings=None, delta0=None):
     an optional warm start. The solve is exact at any width: a one-point
     path trace, or delta0 if it certifies, finished by the active set (see
     _lasso_path). The solve has converged once certified;
-    settings.max_iters caps trace events, active-set rounds and fallback
-    iterations together.
+    settings.max_iters caps trace events and active-set rounds together.
 
     Returns (delta_hat, SolveDiagnostics). Non-convergence is reported via
     diagnostics.converged, never raised here.
     """
     D, r = _check_design(D, r)
-    if not (lam >= 0):
-        raise ConfigError(f"lam must be >= 0, got {lam}")
+    _check_nonnegative("lam", lam)
     if settings is None:
         settings = LassoSettings()
     if delta0 is not None:
@@ -691,10 +696,7 @@ def lasso_with_offset(D, y, omega_hat, lam, settings=None, delta0=None):
     beta_hat = omega_hat + delta_hat.
     """
     D, y = _check_design(D, y, "D", "y")
-    omega_hat = np.asarray(omega_hat, dtype=float)
-    if omega_hat.shape != (D.shape[1],):
-        raise DimensionError(
-            f"omega_hat must have length {D.shape[1]}, got {omega_hat.shape}")
+    omega_hat = _check_offset(D, omega_hat)
     r = y - D @ omega_hat
     delta, diag = lasso(D, r, lam, settings, delta0)
     return omega_hat + delta, delta, diag
@@ -720,8 +722,7 @@ def warm_start(D, r, lam, settings=None):
                        settings or LassoSettings())[0][:, 0]
 
 
-def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None,
-              *, _path=None):
+def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None):
     """Pick lam by K-fold cross-validation of held-out mean absolute error.
 
     Fold assignment is a seeded permutation split into contiguous blocks.
@@ -729,19 +730,17 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None,
     whole grid on it in one _lasso_path call, at any width: one exact path
     trace, certified at every point, with feature-sign finishing any point
     it leaves uncertified (a point still uncertified is used as it
-    stands). A caller with its own fold solver on that gram, of
-    _lasso_path's signature, passes it as _path. Ties in the mean error
-    go to the larger lam (more shrinkage toward omega_hat).
+    stands). Ties in the mean error go to the larger lam (more shrinkage
+    toward omega_hat). omega_hat must have one entry per column of D.
     Returns (best_lam, path) where path is a (L, 2) array of (lam, mean
     held-out error) rows over the deduplicated descending grid.
     """
     D, y = _check_design(D, y, "D", "y")
-    omega_hat = np.asarray(omega_hat, dtype=float)
+    omega_hat = _check_offset(D, omega_hat)
     if grid is None:
         grid = default_grid(null_threshold(D, y - D @ omega_hat))
     (best, path), = _cv_select(D, y, omega_hat, [grid], folds, seed,
-                               settings or LassoSettings(),
-                               _path or _lasso_path)
+                               settings or LassoSettings(), _lasso_path)
     return best, path
 
 
@@ -760,8 +759,8 @@ def _cv_select(D, Y, omega_hat, grids, folds, seed, settings, path):
     for grid in grids:
         if grid.size == 0:
             raise ConfigError("lambda grid is empty")
-        if np.any(grid < 0):
-            raise ConfigError("lambda grid must be nonnegative")
+        if not (np.isfinite(grid).all() and grid.min() >= 0):
+            raise ConfigError("lambda grid must be finite and nonnegative")
     perm = np.random.default_rng(seed).permutation(n)
     blocks = np.array_split(perm, folds)
     errs = [np.zeros((grid.size, folds)) for grid in grids]

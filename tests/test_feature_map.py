@@ -12,8 +12,9 @@ from heterotl.core import (ConfigError, ConvergenceError, Dataset,
 from heterotl.feature_map import (FeatureMapModel, average_maps,
                                   fit_linear_map, fit_sieve_map, impute,
                                   map_discrepancy)
-from heterotl.penalized_reg import (LassoSettings, _prox_grad_columns,
-                                    cv_lambda, null_threshold, objective)
+from heterotl.penalized_reg import (LassoSettings, _cv_select,
+                                    _prox_grad_columns, default_grid,
+                                    null_threshold, objective)
 from heterotl.sieve_basis import expand, unravel
 from oracles import padded_average, pg_lasso, spectral_norm_svd
 
@@ -167,7 +168,7 @@ def test_sieve_map_cv_gamma_runs(monkeypatch):
 
 def test_sieve_map_cv_gamma_builds_one_gram_per_fold(monkeypatch):
     # every z column reads its fold gram off one gram of the fold's
-    # training rows, and picks the gamma that one cv_lambda per column
+    # training rows, and picks the gamma that one single-column fold loop
     # picks on the whole expansion
     basis = unravel(2, 1, 12)
     proxy, _ = _sieve_proxy(25, 90, basis, p2=4)
@@ -192,9 +193,12 @@ def test_sieve_map_cv_gamma_builds_one_gram_per_fold(monkeypatch):
         fit_sieve_map(proxy, basis, gamma="cv", cv_folds=3, cv_seed=4)
     assert grams == [(60, 4)] * 3 + [(90, 4)]
     Psi = expand(proxy.x, basis)
-    per_column = [cv_lambda(Psi, z, np.zeros(len(basis)), folds=3, seed=4,
-                            _path=_prox_grad_columns)[0]
-                  for z in proxy.z.T]
+    per_column = []
+    for z in proxy.z.T:
+        grid = default_grid(null_threshold(Psi, z))
+        (best, _), = _cv_select(Psi, z, np.zeros(len(basis)), [grid], 3, 4,
+                                LassoSettings(), _prox_grad_columns)
+        per_column.append(best)
     assert np.array_equal(solves[-1], per_column)
 
 

@@ -16,7 +16,7 @@ from heterotl.penalized_reg import (LassoSettings, _Gram, _lasso_path,
                                     default_grid, kkt_check, lasso,
                                     lasso_with_offset, null_threshold,
                                     objective, soft_threshold, warm_start)
-from heterotl.simulation import SimConfig, gen_linear_scenario
+from heterotl.simulation import SimConfig, _one_rep, gen_linear_scenario
 from oracles import RankWarning, offset_objective, ols, pg_lasso
 
 
@@ -166,24 +166,23 @@ def test_lasso_zero_column_warns_only_of_its_pin():
 
 
 def test_lasso_fallback_reuses_the_path_gram(monkeypatch):
-    # a point the trace stops short of and feature-sign declines goes to
-    # FISTA on the same gram: one build and one zero-variance warning
+    # a point the trace stops short of is finished by feature-sign on the
+    # same gram: one build and one zero-variance warning
     D, y, _ = _instance(12, n=30, p=4)
     D = D.copy()
     D[:, 1] = 0.0
     inner = penalized_reg._trace
     monkeypatch.setattr(penalized_reg, "_trace",
                         lambda G, lams, cap: inner(G, lams, 1))
-    monkeypatch.setattr(penalized_reg, "_feature_sign",
-                        lambda G, lam, x, cap, tol: (x, 0, False))
-    grams, fallbacks = [], []
+    grams = []
     _spy(monkeypatch, "_Gram", grams)
-    _spy(monkeypatch, "_prox_grad_columns", fallbacks)
     lam = 0.1 * null_threshold(D, y)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         delta, diag = lasso(D, y, lam)
-    assert len(grams) == 1 and len(fallbacks) == 1
+    assert len(grams) == 1
+    # the one-event trace does not reach lam, so feature-sign made rounds
+    assert diag.iterations > 1
     assert [w.category for w in caught] == [UserWarning]
     assert "zero-variance" in str(caught[0].message)
     assert diag.converged and delta[1] == 0.0
@@ -193,8 +192,11 @@ def test_lasso_fallback_reuses_the_path_gram(monkeypatch):
 
 def test_lasso_validation():
     D, y, _ = _instance(13)
-    with pytest.raises(ConfigError):
-        lasso(D, y, -0.5)
+    for lam in (-0.5, np.inf, np.nan):
+        with pytest.raises(ConfigError, match="lam must be a finite"):
+            lasso(D, y, lam)
+        with pytest.raises(ConfigError, match="lam must be a finite"):
+            lasso_with_offset(D, y, np.zeros(D.shape[1]), lam)
     with pytest.raises(DimensionError):
         lasso(D, y, 0.1, delta0=np.zeros(3))
     with pytest.raises(ConfigError):
@@ -213,14 +215,6 @@ def test_lasso_names_non_finite_entry():
     bad_y[3] = -np.inf
     with pytest.raises(InvalidValueError, match=r"r entry \(3\) = -inf"):
         lasso(D, bad_y, 0.1)
-
-
-def _forbid_fallback(monkeypatch):
-    # the active-set method must certify these points on its own
-    def refuse(*args, **kwargs):
-        raise AssertionError("active-set point fell back to prox-grad")
-
-    monkeypatch.setattr(penalized_reg, "_prox_grad_columns", refuse)
 
 
 def _degenerate_designs():
@@ -247,9 +241,7 @@ def _degenerate_designs():
     return out
 
 
-def test_active_set_matches_projected_gradient_on_degenerate_designs(
-        monkeypatch):
-    _forbid_fallback(monkeypatch)
+def test_active_set_matches_projected_gradient_on_degenerate_designs():
     for name, D, r in _degenerate_designs():
         lam_max = null_threshold(D, r)
         c = float(r @ r) / len(r)
@@ -269,12 +261,12 @@ def test_active_set_matches_projected_gradient_on_degenerate_designs(
             assert delta[2] == 0.0
 
 
-def test_active_set_certifies_a_penalty_at_rounding_scale(monkeypatch):
+def test_active_set_certifies_a_penalty_at_rounding_scale():
     # at 1e-12 of the null threshold the gradient's rounding is larger
     # than the slack a plain gap test leaves for dual feasibility, so the
-    # certificate must forgive the rounding that the violator test ignores
-    _forbid_fallback(monkeypatch)
-    for name, D, r in _degenerate_designs()[:3]:
+    # certificate must forgive the rounding that the violator test ignores;
+    # on the exact-fit design r itself is rounding
+    for name, D, r in _degenerate_designs():
         lam_max = null_threshold(D, r)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -301,7 +293,6 @@ def test_cv_path_certifies_every_point_on_collinear_design(monkeypatch):
         return out
 
     monkeypatch.setattr(penalized_reg, "_lasso_path", spy)
-    _forbid_fallback(monkeypatch)
     cv_lambda(D, scen.target.y, omega, folds=5, seed=3)
     assert len(flags) == 5
     assert all(f.shape == (50,) and f.all() for f in flags)
@@ -514,6 +505,48 @@ def test_path_finishes_the_points_a_stopped_trace_leaves(monkeypatch):
     _assert_path_matches_pointwise(D, r, lams, "collinear")
 
 
+def test_uncertified_cv_point_leaves_the_cap_to_later_points(monkeypatch):
+    # a near-interpolating htl CV fold (nonlinear scenario, master seed 77,
+    # replication 0, fold 3): feature-sign leaves its last two grid points
+    # uncertified, and each costs its own rounds, not the rest of the cap
+    cfg = SimConfig(scenario="nonlinear", K=2, n_p=3000, n_t=50, p1=20,
+                    p2=20, reps=1, seed=77, n_test=200, budget=21)
+    solves = []
+    inner_path = penalized_reg._lasso_path
+    inner_trace = penalized_reg._trace
+    inner_sign = penalized_reg._feature_sign
+
+    def path(G, lams, settings, x0=None):
+        solves.append({"events": 0, "caps": [], "rounds": 0})
+        Delta, iters, conv = inner_path(G, lams, settings, x0)
+        solves[-1].update(iters=iters, conv=conv)
+        return Delta, iters, conv
+
+    def trace(G, lams, cap):
+        X, events = inner_trace(G, lams, cap)
+        solves[-1]["events"] = events
+        return X, events
+
+    def feature_sign(G, lam, x, cap, tol):
+        out = inner_sign(G, lam, x, cap, tol)
+        solves[-1]["caps"].append(cap)
+        solves[-1]["rounds"] += out[1]
+        return out
+
+    monkeypatch.setattr(penalized_reg, "_lasso_path", path)
+    monkeypatch.setattr(penalized_reg, "_trace", trace)
+    monkeypatch.setattr(penalized_reg, "_feature_sign", feature_sign)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        _, err = _one_rep(cfg, 0)
+    assert err is None
+    fold = solves[3]
+    assert fold["conv"].size == 50 and not fold["conv"][-2:].any()
+    for solve in solves:
+        assert solve["iters"] == solve["events"] + solve["rounds"]
+        assert all(cap > 0 for cap in solve["caps"])
+
+
 def _fig1_cv_problem():
     cfg = SimConfig(scenario="linear", K=2, n_p=2000, n_t=50, p1=20,
                     p2=20, reps=1, seed=0, n_test=10)
@@ -594,18 +627,13 @@ def test_prox_grad_columns_recover_from_small_step_estimate(monkeypatch):
     _assert_columns_optimal(D, R, lams, Theta)
 
 
-def test_prox_grad_columns_cap_and_warm_start():
+def test_prox_grad_columns_cap():
     D, R, lams = _columns_instance(43, 20, 100)
-    settings = LassoSettings()
-    G = _Gram(D, R)
-    cold, it, _ = _prox_grad_columns(G, lams, settings)
-    _, _, conv = _prox_grad_columns(G, lams, LassoSettings(max_iters=2))
-    assert not conv[:2].any()
+    _, it, conv = _prox_grad_columns(_Gram(D, R), lams,
+                                     LassoSettings(max_iters=2))
+    assert it == 2 and not conv[:2].any()
     # the null column is certified at the zero start, before any step
     assert conv[2]
-    _, warm_it, conv = _prox_grad_columns(G, lams, settings, cold)
-    assert conv.all()
-    assert warm_it == 0
 
 
 def test_gram_streamed_in_row_blocks_matches_one_shot():
@@ -771,6 +799,11 @@ def test_cv_validation():
         cv_lambda(D, y, omega, grid=[])
     with pytest.raises(ConfigError):
         cv_lambda(D, y, omega, grid=[0.1, -0.2])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            cv_lambda(D, y, omega, grid=[0.1, bad])
+    with pytest.raises(DimensionError, match="omega_hat must have length 10"):
+        cv_lambda(D, y, omega[:-1])
 
 
 def test_cv_deterministic():
