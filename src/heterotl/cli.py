@@ -288,7 +288,9 @@ def _add_model_options(sub):
     sub.add_argument("--p1-prime", type=int,
                      help="interaction order of the sieve basis")
     sub.add_argument("--budget", type=int,
-                     help="cap on the number of basis functions")
+                     help="number of sieve basis functions M (pins M; "
+                     "default: chosen on held-out proxy rows up to "
+                     "min(p1^3, n_p/2))")
     sub.add_argument("--d-cap", type=int)
     sub.add_argument("--clamp-tol", type=float,
                      help="allowed relative overshoot outside the "

@@ -9,7 +9,11 @@ columns in one l1-penalized proximal-gradient (FISTA) solve on the M x M
 gram of the expansion, accumulated from row blocks of the expansion
 without ever holding all of it; a penalized column stops at a duality
 gap of 1e-10 of its objective at zero (the column's mean square), and
-settings.tol only bounds the gradient of unpenalized ones. Maps are
+settings.tol only bounds the gradient of unpenalized ones. Without an
+explicit budget, each proxy's truncation M is picked before its fit by a
+hold-out ladder (101, 201, 401, ... up to the default cap) that stops at
+the first rung whose held-out mean squared error does not fall; the bases
+are nested, so each rung is a leading block of the cap's basis. Maps are
 averaged entrywise and compared by the spectral norm of their
 coefficient difference, after zero-padding sieve matrices of different
 truncation in the shared deterministic index ordering. Imputation
@@ -21,12 +25,12 @@ import warnings
 
 import numpy as np
 
-from .core import (ConfigError, ConvergenceError, DimensionError,
+from .core import (ConfigError, ConvergenceError, Dataset, DimensionError,
                    IncompatibleError, InvalidValueError, SupportError,
                    _require_finite)
-from .penalized_reg import (LassoSettings, _cv_select, _Gram, _nested_lstsq,
-                            _prox_grad_columns, _row_blocks, default_grid,
-                            null_threshold)
+from .penalized_reg import (LassoSettings, _cv_select, _folds, _Gram,
+                            _nested_lstsq, _prox_grad_columns, _row_blocks,
+                            default_grid, null_threshold)
 from .sieve_basis import BasisIndexSet, _check_input, expand
 
 # the name each variant gives its coefficient matrix
@@ -213,6 +217,71 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
             f"after {iters} iterations")
     return FeatureMapModel("sieve", basis=basis, Theta=Theta,
                            x_scale=x_scale)
+
+
+_FIRST_RUNG = 101  # the smallest truncation the hold-out ladder scores
+
+
+def _ladder(cap):
+    """The truncations the hold-out ladder scores: 101, 201, 401, ...
+    below cap, then cap (cap alone when it is at most 101)."""
+    rungs, M = [], _FIRST_RUNG
+    while M < cap:
+        rungs.append(M)
+        M = 2 * M - 1
+    return rungs + [cap]
+
+
+def _leading(basis, M):
+    """The first M indices of basis, which is what unravel gives for M:
+    the ordering is nested."""
+    return BasisIndexSet(basis.p1, basis.p1_prime, basis.a,
+                         basis.multi_indices[:M], basis.d_cap)
+
+
+def _rung_error(train, X_held, Z_held, basis, gamma, settings, c_gamma):
+    """Held-out mean squared error, over every z column, of the sieve map
+    fit on the train rows at basis."""
+    model = fit_sieve_map(train, basis, gamma, settings, c_gamma=c_gamma)
+    return float(np.mean((impute(model, X_held) - Z_held) ** 2))
+
+
+def _held_out_truncation(proxy, basis, gamma="auto", settings=None,
+                         c_gamma=1.0, x_scale=None, cv_folds=5, cv_seed=0):
+    """The leading block of basis whose size a hold-out ladder picks.
+
+    Fold 0 of the cv_folds folds drawn with cv_seed (the folds gamma="cv"
+    draws) is held out. Each rung M of _ladder(len(basis)) is fit on the
+    other rows by fit_sieve_map at gamma, or at "auto" for gamma="cv"
+    (c_gamma * sqrt(log M / n_train)), and scored by its held-out mean
+    squared error over all z columns. The ladder stops at the first rung
+    whose error is not below the previous rung's and returns the previous
+    rung. A basis of at most 101 functions is returned as it is, with no
+    fit. The rung fits and their imputations expand rows in blocks, so no
+    n x M expansion is held.
+    """
+    rungs = _ladder(len(basis))
+    if len(rungs) == 1:
+        return basis
+    X = proxy.x if x_scale is None else proxy.x / x_scale
+    # checked whole, so that an error names its row in X, not in a fold
+    X = _check_input(X, basis)
+    held = _folds(proxy.n, cv_folds, cv_seed)[0]
+    rows = np.ones(proxy.n, dtype=bool)
+    rows[held] = False
+    train = Dataset(X[rows], proxy.y[rows], proxy.z[rows])
+    X_held, Z_held = X[held], proxy.z[held]
+    if gamma == "cv":
+        gamma = "auto"
+    best = best_err = None
+    for M in rungs:
+        rung = _leading(basis, M)
+        err = _rung_error(train, X_held, Z_held, rung, gamma, settings,
+                          c_gamma)
+        if best is not None and not err < best_err:
+            break
+        best, best_err = rung, err
+    return best
 
 
 _FRAME_PARTS = ("variant", "input dimension", "output dimension",

@@ -744,6 +744,16 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None):
     return best, path
 
 
+def _folds(n, folds, seed):
+    """The row indices of each of folds folds of n rows: a permutation
+    drawn with seed, split into contiguous blocks."""
+    if folds < 2:
+        raise ConfigError(f"folds must be >= 2, got {folds}")
+    if n < folds:
+        raise ConfigError(f"need n >= folds, got n={n}, folds={folds}")
+    return np.array_split(np.random.default_rng(seed).permutation(n), folds)
+
+
 def _cv_select(D, Y, omega_hat, grids, folds, seed, settings, path):
     """cv_lambda's (best_lam, path) for each response: Y is one response,
     with grids holding its grid, or an (n, m) matrix whose column j has
@@ -751,18 +761,13 @@ def _cv_select(D, Y, omega_hat, grids, folds, seed, settings, path):
     its training rows with every response and solves each response's
     grid on that response's column of it (_Gram.column) by path."""
     n = D.shape[0]
-    if folds < 2:
-        raise ConfigError(f"folds must be >= 2, got {folds}")
-    if n < folds:
-        raise ConfigError(f"need n >= folds, got n={n}, folds={folds}")
+    blocks = _folds(n, folds, seed)
     grids = [np.unique(np.asarray(g, dtype=float))[::-1] for g in grids]
     for grid in grids:
         if grid.size == 0:
             raise ConfigError("lambda grid is empty")
         if not (np.isfinite(grid).all() and grid.min() >= 0):
             raise ConfigError("lambda grid must be finite and nonnegative")
-    perm = np.random.default_rng(seed).permutation(n)
-    blocks = np.array_split(perm, folds)
     errs = [np.zeros((grid.size, folds)) for grid in grids]
     for f, val_idx in enumerate(blocks):
         mask = np.ones(n, dtype=bool)

@@ -150,10 +150,12 @@ def unravel(p1, p1_prime, M, a=1.0, d_cap=64):
 
 
 def default_truncation(p, n_p, budget=None, p1_prime=1, d_cap=64):
-    """Default number of basis functions: min(p^3, budget, admissible count).
+    """Number of basis functions: min(p^3, budget, admissible count).
 
-    budget defaults to floor(n_p / 2) so the per-column penalized design
-    stays comfortably sized at desk scale.
+    A given budget pins the sieve fit's M to this value. Without one,
+    budget is floor(n_p / 2) and the result is only the cap of the
+    held-out ladder that picks M from the proxy rows (the ladder's last
+    rung; feature_map._held_out_truncation).
     """
     if p < 1 or n_p < 1:
         raise ConfigError("p and n_p must be >= 1")

@@ -4,6 +4,7 @@ The Monte-Carlo fixtures are module-scoped because two criteria read the
 same replication runs. Budgets are wall-clock on a single worker.
 """
 
+import functools
 import time
 import warnings
 
@@ -240,11 +241,13 @@ def test_wide_target_fits_and_htl_leads():
     assert time.perf_counter() - start < 120.0
 
 
-def _sieve_rmse(n_p, M, reps=8):
+@functools.lru_cache(maxsize=None)
+def _sieve_rmse(n_p, M=None, reps=8):
     """Mean over replications 0..reps-1 of the fig5 fixture's master seed
     of the sieve imputation RMSE on the test rows against the target's
     true map mean h, with the map fit at n_p proxy rows and M = budget
-    basis functions (gamma="auto")."""
+    basis functions, or with M picked on held-out proxy rows for M=None
+    (gamma="auto"). Cached: several trends share a truncation."""
     config = SimConfig(scenario="nonlinear", K=2, n_p=n_p, n_t=50, p1=20,
                        p2=20, n_test=200, seed=77)
     settings = LassoSettings(max_iters=3000, tol=1e-7)
@@ -255,7 +258,7 @@ def _sieve_rmse(n_p, M, reps=8):
                           gamma="auto", c_gamma=1.0, p1_prime=1, budget=M,
                           d_cap=64, settings=settings, cv_folds=5,
                           cv_seed=0)
-        assert model.coef.shape[0] == M
+        assert M is None or model.coef.shape[0] == M
         with warnings.catch_warnings():
             # test rows a little beyond the proxies' range are clamped
             warnings.simplefilter("ignore", UserWarning)
@@ -275,10 +278,23 @@ def test_sieve_imputation_error_falls_with_proxy_sample_size():
 
 
 def test_sieve_imputation_error_rises_with_surplus_complexity():
-    # the abstract's dependence on model complexity: at n_p = 3000 the
-    # default M = 1261 imputes worse than M = 201 on the fig5 fixture's
-    # master seed
+    # the abstract's dependence on model complexity: at n_p = 3000,
+    # M = 1261 (the cap min(p1^3, n_p / 2, admissible count), which was
+    # the default M before the held-out ladder) imputes worse than M = 201
+    # on the fig5 fixture's master seed
     start = time.perf_counter()
     small, large = _sieve_rmse(3000, 201), _sieve_rmse(3000, 1261)
     assert large > small, (small, large)
+    assert time.perf_counter() - start < 60.0
+
+
+def test_held_out_ladder_imputes_like_the_best_fixed_truncation():
+    # the default M is picked per proxy on held-out proxy rows: at
+    # n_p = 3000 it imputes better than the 1261 cap and within 5% of
+    # M = 201, the better fixed truncation of the trend above
+    start = time.perf_counter()
+    ladder = _sieve_rmse(3000)
+    small, large = _sieve_rmse(3000, 201), _sieve_rmse(3000, 1261)
+    assert ladder < large, (ladder, large)
+    assert ladder <= 1.05 * small, (ladder, small)
     assert time.perf_counter() - start < 60.0

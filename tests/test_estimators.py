@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from heterotl import feature_map, penalized_reg
 from heterotl.core import (Dataset, DimensionError, IncompatibleError,
                            InvalidValueError, SupportError, TLFit,
                            mean_absolute_prediction_error)
@@ -14,8 +15,8 @@ from heterotl.estimators import (HtlModel, _proxy_x_coefficients,
                                  fit_proxy_coefficients, fit_target_lasso,
                                  load_model, oracle_predict, predict,
                                  save_model)
-from heterotl.feature_map import (FeatureMapModel, fit_linear_map,
-                                  fit_sieve_map, impute)
+from heterotl.feature_map import (FeatureMapModel, average_maps,
+                                  fit_linear_map, fit_sieve_map, impute)
 from heterotl.penalized_reg import (_RANK_MARGIN, LassoSettings,
                                     _lstsq_minnorm, _nested_lstsq,
                                     lasso_with_offset, null_threshold)
@@ -285,6 +286,108 @@ def test_htl_sieve_cv_uses_the_fit_folds_and_seed():
     assert np.array_equal(model.map.Theta, theta(cv_folds=3, cv_seed=7))
     # the defaults, 5 folds and seed 0, pick another fit here
     assert not np.array_equal(model.map.Theta, theta())
+
+
+def _sieve_world(seed, K=2, n_p=400, p1=5):
+    """Proxies whose z is a smooth function of x plus noise, and a target
+    inside their range. The last proxy's z also has a term of frequency 36
+    in x, which only basis functions past the first 101 reach. With p1 = 5
+    and n_p = 400 the default truncation cap is p1^3 = 125, so the
+    held-out ladder scores 101 and 125."""
+    rng = np.random.default_rng(seed)
+    proxies = []
+    for k in range(K):
+        X = rng.uniform(-1.0, 1.0, size=(n_p, p1))
+        Z = np.sin(2.0 * X[:, :2]) + 0.3 * rng.standard_normal((n_p, 2))
+        if k == K - 1:
+            Z += np.cos(36.0 * X[:, :2])
+        proxies.append(Dataset(X, rng.standard_normal(n_p), Z))
+    target = Dataset(rng.uniform(-0.8, 0.8, size=(30, p1)),
+                     rng.standard_normal(30))
+    return proxies, target
+
+
+def _spy_grams(monkeypatch):
+    """The row count of every sieve map fit's _Gram from now on."""
+    rows = []
+
+    class Spy(penalized_reg._Gram):
+        def __init__(self, D, R):
+            rows.append(R.shape[0])
+            super().__init__(D, R)
+
+    monkeypatch.setattr(feature_map, "_Gram", Spy)
+    return rows
+
+
+def _direct_sieve_theta(proxies, model, M):
+    # the fit of every proxy at one truncation, averaged: the sieve stage
+    # when an explicit budget or a small cap fixes M
+    basis = unravel(proxies[0].p1, 1, M)
+    return average_maps([
+        fit_sieve_map(pr, basis, "auto", LassoSettings(),
+                      x_scale=model.map.x_scale)
+        for pr in proxies]).Theta
+
+
+def test_sieve_budget_pins_m_with_no_hold_out(monkeypatch):
+    proxies, target = _sieve_world(40)
+    rows = _spy_grams(monkeypatch)
+    model = fit_htl(proxies, target, map_kind="sieve", lam=0.2, budget=60)
+    # one gram per proxy, on all its rows
+    assert rows == [400, 400]
+    assert np.array_equal(model.map.Theta,
+                          _direct_sieve_theta(proxies, model, 60))
+
+
+def test_sieve_cap_of_101_or_less_is_fit_directly(monkeypatch):
+    # n_p = 200 caps M at n_p / 2 = 100: no rung is scored
+    proxies, target = _sieve_world(41, n_p=200)
+    rows = _spy_grams(monkeypatch)
+    model = fit_htl(proxies, target, map_kind="sieve", lam=0.2)
+    assert rows == [200, 200]
+    assert np.array_equal(model.map.Theta,
+                          _direct_sieve_theta(proxies, model, 100))
+
+
+def test_sieve_default_truncation_is_picked_on_held_out_rows(monkeypatch):
+    proxies, target = _sieve_world(42)
+    rows = _spy_grams(monkeypatch)
+    model = fit_htl(proxies, target, map_kind="sieve", lam=0.2, cv_seed=3)
+    # per proxy: rungs 101 and 125 on the 320 rows outside fold 0, then
+    # the fit at the picked M on all 400
+    assert rows == [320, 320, 400] * 2
+    again = fit_htl(proxies, target, map_kind="sieve", lam=0.2, cv_seed=3)
+    assert np.array_equal(model.map.Theta, again.map.Theta)
+    assert model.map.basis.to_dict() == again.map.basis.to_dict()
+    picked = [len(feature_map._held_out_truncation(
+        pr, unravel(5, 1, 125), x_scale=model.map.x_scale, cv_seed=3))
+        for pr in proxies]
+    # the proxy with the high-frequency term needs the larger basis, and
+    # the other proxy's smaller fit is zero-padded into the average
+    assert picked == [101, 125]
+    assert len(model.map.basis) == 125
+    theta = [fit_sieve_map(pr, unravel(5, 1, M), "auto", LassoSettings(),
+                           x_scale=model.map.x_scale).Theta
+             for pr, M in zip(proxies, picked)]
+    top = max(picked)
+    padded = [np.pad(t, ((0, top - len(t)), (0, 0))) for t in theta]
+    assert np.array_equal(model.map.Theta, np.mean(padded, axis=0))
+
+
+def test_sieve_cv_gamma_runs_once_per_proxy_at_the_picked_m(monkeypatch):
+    proxies, target = _sieve_world(43)
+    picks, cv_select = [], feature_map._cv_select
+
+    def spy(D, *args):
+        picks.append(D.shape[1])
+        return cv_select(D, *args)
+
+    monkeypatch.setattr(feature_map, "_cv_select", spy)
+    model = fit_htl(proxies, target, map_kind="sieve", lam=0.2, gamma="cv",
+                    cv_folds=3)
+    assert picks == [101, 125]
+    assert len(model.map.basis) == 125
 
 
 def test_htl_beats_homogeneous_on_toy_scenario():

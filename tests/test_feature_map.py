@@ -12,7 +12,8 @@ from heterotl.core import (ConfigError, ConvergenceError, Dataset,
 from heterotl.feature_map import (FeatureMapModel, average_maps,
                                   fit_linear_map, fit_sieve_map, impute,
                                   map_discrepancy)
-from heterotl.penalized_reg import (LassoSettings, _cv_select,
+from heterotl.estimators import _fit_maps
+from heterotl.penalized_reg import (LassoSettings, _cv_select, _folds,
                                     _prox_grad_columns, default_grid,
                                     null_threshold, objective)
 from heterotl.sieve_basis import expand, unravel
@@ -234,21 +235,132 @@ def test_sieve_map_support_error_names_its_row_in_x():
         fit_sieve_map(Dataset(X, proxy.y, proxy.z), basis)
 
 
-def test_sieve_map_peak_memory_is_far_below_its_design():
+def _peak_bytes(f, *args):
+    """f(*args) and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_sieve_map_peak_memory_is_far_below_its_design(monkeypatch):
     # n_p x M = 6000 x 1261 floats would be a 60 MB design; the fit holds
     # the 12.7 MB gram, one 5.2 MB block and a panel of its update
     n, M = 6000, 1261
     B = penalized_reg._BLOCK_ROWS
     basis = unravel(20, 1, M)
     proxy, _ = _sieve_proxy(25, n, basis)
-    tracemalloc.start()
-    try:
-        model = fit_sieve_map(proxy, basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    model, peak = _peak_bytes(fit_sieve_map, proxy, basis)
     assert model.Theta.shape == (M, 2)
     assert peak <= 8 * M * (M + 2 * B)
+    # the default path scores rungs up to 401 of the 1261 cap here: it
+    # holds the top rung's gram, one block and a few copies of the n x 20
+    # inputs (folds, scaling), never the 19 MB n x 401 expansion
+    proxy, _ = _sieve_proxy(25, n, unravel(20, 1, 201))
+    rungs, rung_error = [], feature_map._rung_error
+
+    def spy(train, X_held, Z_held, basis, *args):
+        rungs.append(len(basis))
+        return rung_error(train, X_held, Z_held, basis, *args)
+
+    monkeypatch.setattr(feature_map, "_rung_error", spy)
+    model, peak = _peak_bytes(_fit_maps, [proxy], "sieve", 0.0, "auto", 1.0,
+                              1, None, 64, LassoSettings(), 5, 0)
+    assert rungs == [101, 201, 401]
+    assert model.Theta.shape == (201, 2)
+    top = rungs[-1]
+    assert peak <= 8 * (top * (top + 2 * B) + 4 * n * 20)
+
+
+def test_ladder_rungs_double_up_to_the_cap():
+    assert feature_map._ladder(50) == [50]
+    assert feature_map._ladder(101) == [101]
+    assert feature_map._ladder(102) == [101, 102]
+    assert feature_map._ladder(1261) == [101, 201, 401, 801, 1261]
+    assert feature_map._ladder(1601) == [101, 201, 401, 801, 1601]
+
+
+def test_leading_block_is_the_smaller_truncation():
+    for p1_prime in (1, 2):
+        basis = unravel(20, p1_prime, 1261)
+        for M in (101, 201, 1261):
+            assert feature_map._leading(basis, M).to_dict() == \
+                unravel(20, p1_prime, M).to_dict()
+
+
+def _scripted_ladder(monkeypatch, errors):
+    """The rungs scored and the truncation picked under the 1261 cap when
+    the k-th rung scored has held-out error errors[k]."""
+    scored = []
+
+    def script(train, X_held, Z_held, basis, *args):
+        scored.append(len(basis))
+        return errors[len(scored) - 1]
+
+    monkeypatch.setattr(feature_map, "_rung_error", script)
+    proxy, _ = _sieve_proxy(30, 300, unravel(20, 1, 10))
+    picked = feature_map._held_out_truncation(proxy, unravel(20, 1, 1261))
+    return scored, len(picked)
+
+
+@pytest.mark.parametrize("errors, scored, picked", [
+    ([3.0, 2.0, 2.5, 1.0, 0.5], [101, 201, 401], 201),
+    ([3.0, 2.0, 2.0, 1.0, 0.5], [101, 201, 401], 201),
+    ([3.0, 4.0, 1.0, 0.5, 0.1], [101, 201], 101),
+    ([5.0, 4.0, 3.0, 2.0, 1.0], [101, 201, 401, 801, 1261], 1261),
+])
+def test_ladder_stops_at_the_first_rung_that_does_not_improve(
+        monkeypatch, errors, scored, picked):
+    assert _scripted_ladder(monkeypatch, errors) == (scored, picked)
+
+
+def test_ladder_fits_without_fold_zero_and_scores_on_it(monkeypatch):
+    basis = unravel(5, 1, 125)
+    proxy, _ = _sieve_proxy(31, 400, unravel(5, 1, 30))
+    x_scale = np.full(5, 1.25)
+    calls, rung_error = [], feature_map._rung_error
+
+    def spy(train, X_held, Z_held, basis, *args):
+        calls.append((train, X_held, Z_held, len(basis)))
+        return rung_error(train, X_held, Z_held, basis, *args)
+
+    monkeypatch.setattr(feature_map, "_rung_error", spy)
+    picked = feature_map._held_out_truncation(proxy, basis, x_scale=x_scale,
+                                              cv_folds=4, cv_seed=9)
+    held = _folds(400, 4, 9)[0]
+    rest = np.setdiff1d(np.arange(400), held)
+    assert [c[3] for c in calls] == [101, 125]
+    for train, X_held, Z_held, _ in calls:
+        # rows keep their order, scaled by x_scale once
+        assert np.array_equal(train.x, proxy.x[rest] / x_scale)
+        assert np.array_equal(train.z, proxy.z[rest])
+        assert np.array_equal(X_held, proxy.x[held] / x_scale)
+        assert np.array_equal(Z_held, proxy.z[held])
+    assert len(picked) in (101, 125)
+
+
+def test_ladder_leaves_a_cap_of_101_unfit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a rung was fit under a cap of 101")
+
+    monkeypatch.setattr(feature_map, "_rung_error", refuse)
+    proxy, _ = _sieve_proxy(32, 300, unravel(20, 1, 10))
+    for M in (10, 101):
+        basis = unravel(20, 1, M)
+        assert feature_map._held_out_truncation(proxy, basis) is basis
+
+
+def test_ladder_support_error_names_its_row_in_x():
+    basis = unravel(5, 1, 125)
+    proxy, _ = _sieve_proxy(33, 300, unravel(5, 1, 10))
+    X = proxy.x.copy()
+    X[257, 3] = 1.5
+    with pytest.raises(SupportError, match=r"\(257, 3\)"):
+        feature_map._held_out_truncation(Dataset(X, proxy.y, proxy.z),
+                                         basis)
 
 
 def test_sieve_map_non_convergence_names_column():

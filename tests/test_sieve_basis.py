@@ -83,6 +83,19 @@ def test_unravel_invariants():
     assert unravel(4, 2, 25).multi_indices == idx[:25]
 
 
+@pytest.mark.parametrize("p1_prime", [1, 2])
+@pytest.mark.parametrize("d_cap", [8, 64])
+def test_unravel_truncations_are_prefixes(p1_prime, d_cap):
+    # the held-out ladder reads a smaller truncation as the leading block
+    # of a larger one, at the fig5 input dimension
+    M_max = min(1261, admissible_count(20, p1_prime, d_cap))
+    full = unravel(20, p1_prime, M_max, d_cap=d_cap).multi_indices
+    for M in (1, 21, 101, 140, 141, 201, 401, 801, M_max):
+        if M <= M_max:
+            got = unravel(20, p1_prime, M, d_cap=d_cap).multi_indices
+            assert got == full[:M], M
+
+
 def test_unravel_capacity():
     # p1=2, p1_prime=1, d_cap=3 admits exactly 5 indices
     assert admissible_count(2, 1, 3) == 5
