@@ -10,11 +10,14 @@ gram of the expansion, accumulated from row blocks of the expansion
 without ever holding all of it; a penalized column stops at a duality
 gap of 1e-10 of its objective at zero (the column's mean square), and
 settings.tol only bounds the gradient of unpenalized ones. Without an
-explicit budget, each proxy's truncation M is picked before its fit by a
-hold-out ladder (101, 201, 401, ... up to the default cap) that stops at
-the first rung whose held-out mean squared error does not fall; the bases
-are nested, so each rung is a leading block of the cap's basis. Maps are
-averaged entrywise and compared by the spectral norm of their
+explicit budget, each proxy's truncation M is picked by a hold-out
+ladder (101, 201, 401, ... up to the default cap) that stops at the
+first rung whose held-out mean squared error does not fall. The bases
+are nested, so each rung is a leading block of the cap's basis, and one
+set of gram sums serves the whole ladder: each rung borders the last
+rung's sums over the training rows with its new columns, and the map is
+then fit on the picked rung's sums plus those of the held-out rows. Maps
+are averaged entrywise and compared by the spectral norm of their
 coefficient difference, after zero-padding sieve matrices of different
 truncation in the shared deterministic index ordering. Imputation
 applies F(X) C to new matched covariates, a sieve map in the same row
@@ -25,12 +28,13 @@ import warnings
 
 import numpy as np
 
-from .core import (ConfigError, ConvergenceError, Dataset, DimensionError,
+from .core import (ConfigError, ConvergenceError, DimensionError,
                    IncompatibleError, InvalidValueError, SupportError,
                    _require_finite)
-from .penalized_reg import (LassoSettings, _cv_select, _folds, _Gram,
-                            _nested_lstsq, _prox_grad_columns, _row_blocks,
-                            default_grid, null_threshold)
+from .penalized_reg import (LassoSettings, _block_sums, _cv_select, _folds,
+                            _Gram, _nested_lstsq, _prox_grad_columns,
+                            _row_blocks, _widened, default_grid,
+                            null_threshold)
 from .sieve_basis import BasisIndexSet, _check_input, expand
 
 # the name each variant gives its coefficient matrix
@@ -185,14 +189,10 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
     # checked whole, so that an error names its row in X, not in a block
     X = _check_input(X, basis)
     n, M = X.shape[0], len(basis)
-    # the gram reads the expansion in row blocks, made as it asks for them
-    design = (expand(X[rows], basis) for rows in _row_blocks(n))
+    design = _expansion_blocks(X, basis)
     if settings is None:
         settings = LassoSettings()
-    if gamma == "auto":
-        gam = c_gamma * np.sqrt(np.log(M) / n) if M > 1 else 0.0
-        gammas = np.full(Z.shape[1], gam)
-    elif gamma == "cv":
+    if gamma == "cv":
         # the folds take rows from the whole expansion, so it is built
         design = Psi = expand(X, basis)
         grids = [default_grid(null_threshold(Psi, z)) for z in Z.T.copy()]
@@ -204,12 +204,28 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
                            settings, _prox_grad_columns)
         gammas = np.array([lam for lam, _ in picks])
     else:
-        if not (gamma >= 0):
-            raise ConfigError(f"gamma must be >= 0, got {gamma}")
-        gammas = np.full(Z.shape[1], float(gamma))
+        gammas = _gammas(gamma, c_gamma, M, n, Z.shape[1])
+    return _solved(_Gram(design, Z), basis, gammas, settings, x_scale)
+
+
+def _expansion_blocks(X, basis):
+    """The expansion of X in row blocks, each made when it is asked for."""
+    return (expand(X[rows], basis) for rows in _row_blocks(X.shape[0]))
+
+
+def _gammas(gamma, c_gamma, M, n, p2):
+    """The penalty of each of p2 z columns for a number or "auto"."""
+    if gamma == "auto":
+        gamma = c_gamma * np.sqrt(np.log(M) / n) if M > 1 else 0.0
+    elif not (gamma >= 0):
+        raise ConfigError(f"gamma must be >= 0, got {gamma}")
+    return np.full(p2, float(gamma))
+
+
+def _solved(G, basis, gammas, settings, x_scale):
+    """The sieve map at basis fit on its gram G, column j at gammas[j]."""
     # the z columns share the design, so one matrix solve fits them all
-    Theta, iters, converged = _prox_grad_columns(_Gram(design, Z), gammas,
-                                                 settings)
+    Theta, iters, converged = _prox_grad_columns(G, gammas, settings)
     if not converged.all():
         j = int(np.flatnonzero(~converged)[0])
         raise ConvergenceError(
@@ -235,53 +251,94 @@ def _ladder(cap):
 def _leading(basis, M):
     """The first M indices of basis, which is what unravel gives for M:
     the ordering is nested."""
-    return BasisIndexSet(basis.p1, basis.p1_prime, basis.a,
-                         basis.multi_indices[:M], basis.d_cap)
+    return BasisIndexSet._of_ints(basis.p1, basis.p1_prime, basis.a,
+                                  basis.multi_indices[:M], basis.d_cap,
+                                  basis.orders[:M])
 
 
-def _rung_error(train, X_held, Z_held, basis, gamma, settings, c_gamma):
+def _rung_error(G, X_held, Z_held, basis, gammas, settings):
     """Held-out mean squared error, over every z column, of the sieve map
-    fit on the train rows at basis."""
-    model = fit_sieve_map(train, basis, gamma, settings, c_gamma=c_gamma)
+    at basis fit on the training gram G."""
+    model = _solved(G, basis, gammas, settings, None)
     return float(np.mean((impute(model, X_held) - Z_held) ** 2))
 
 
 def _held_out_truncation(proxy, basis, gamma="auto", settings=None,
                          c_gamma=1.0, x_scale=None, cv_folds=5, cv_seed=0):
-    """The leading block of basis whose size a hold-out ladder picks.
+    """The leading block of basis whose size a hold-out ladder picks, and
+    its gram on all the proxy's rows (None for gamma="cv").
 
     Fold 0 of the cv_folds folds drawn with cv_seed (the folds gamma="cv"
     draws) is held out. Each rung M of _ladder(len(basis)) is fit on the
-    other rows by fit_sieve_map at gamma, or at "auto" for gamma="cv"
+    other rows at gamma, or at "auto" for gamma="cv"
     (c_gamma * sqrt(log M / n_train)), and scored by its held-out mean
     squared error over all z columns. The ladder stops at the first rung
     whose error is not below the previous rung's and returns the previous
     rung. A basis of at most 101 functions is returned as it is, with no
-    fit. The rung fits and their imputations expand rows in blocks, so no
-    n x M expansion is held.
+    fit and no gram.
+
+    The rungs are nested, so one set of training sums grows from rung to
+    rung: each rung borders the sums of the rung m before it, expanding
+    the training rows at its M block by block and adding only the
+    products with a column past m. The picked rung's sums are the leading
+    block of the last rung's, and the held-out rows' sums at the picked
+    rung complete its all-rows gram. The ladder holds the growing sums
+    (and the last rung's while it widens them), one rung's gram and one
+    expansion block, never an n x M expansion.
     """
     rungs = _ladder(len(basis))
     if len(rungs) == 1:
-        return basis
+        return basis, None
+    if settings is None:
+        settings = LassoSettings()
     X = proxy.x if x_scale is None else proxy.x / x_scale
     # checked whole, so that an error names its row in X, not in a fold
     X = _check_input(X, basis)
     held = _folds(proxy.n, cv_folds, cv_seed)[0]
     rows = np.ones(proxy.n, dtype=bool)
     rows[held] = False
-    train = Dataset(X[rows], proxy.y[rows], proxy.z[rows])
+    X_train, Z_train = X[rows], proxy.z[rows]
     X_held, Z_held = X[held], proxy.z[held]
-    if gamma == "cv":
-        gamma = "auto"
+    score = "auto" if gamma == "cv" else gamma
+    A, b = np.zeros((0, 0)), np.zeros((0, Z_train.shape[1]))
     best = best_err = None
     for M in rungs:
         rung = _leading(basis, M)
-        err = _rung_error(train, X_held, Z_held, rung, gamma, settings,
-                          c_gamma)
+        start = len(A)
+        A, b = _widened(A, b, M)
+        _block_sums(_expansion_blocks(X_train, rung), Z_train, A, b, start)
+        gammas = _gammas(score, c_gamma, M, len(Z_train), Z_train.shape[1])
+        err = _rung_error(_Gram.from_sums(A, b, Z_train), X_held, Z_held,
+                          rung, gammas, settings)
         if best is not None and not err < best_err:
             break
         best, best_err = rung, err
-    return best
+    if gamma == "cv":
+        return best, None
+    # the held-out rows join the picked rung's training sums, the leading
+    # block of the last rung's, which are not read again
+    m = len(best)
+    A, b = A[:m, :m], b[:m]
+    _block_sums(_expansion_blocks(X_held, best), Z_held, A, b)
+    return best, _Gram.from_sums(A, b, proxy.z)
+
+
+def _fit_held_out(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
+                  x_scale=None, cv_folds=5, cv_seed=0):
+    """fit_sieve_map at the leading block of basis that
+    _held_out_truncation picks, solved on the all-rows gram the ladder
+    leaves; gamma="cv" and a basis of at most 101 functions are fit by
+    fit_sieve_map itself."""
+    if settings is None:
+        settings = LassoSettings()
+    picked, G = _held_out_truncation(proxy, basis, gamma, settings, c_gamma,
+                                     x_scale, cv_folds, cv_seed)
+    if G is None:
+        return fit_sieve_map(proxy, picked, gamma, settings, c_gamma=c_gamma,
+                             x_scale=x_scale, cv_folds=cv_folds,
+                             cv_seed=cv_seed)
+    gammas = _gammas(gamma, c_gamma, len(picked), proxy.n, proxy.z.shape[1])
+    return _solved(G, picked, gammas, settings, x_scale)
 
 
 _FRAME_PARTS = ("variant", "input dimension", "output dimension",

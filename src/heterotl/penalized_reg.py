@@ -13,7 +13,9 @@ and r'r / n for one response or several, built once for a target solve,
 a cross-validation fold or a sieve map fit (p^2 floats for p columns).
 It is summed over row blocks of the design, which a caller may hand over
 one at a time: the sieve map fit streams its basis expansion that way,
-so it never holds the n x M design.
+so it never holds the n x M design. The same block sums grow by columns
+(a bordered gram) and by rows, which the sieve's hold-out ladder uses to
+build one gram per proxy across its rungs and its final fit.
 
 The solver is chosen by stage, not by width. Every single-response solve
 (the target stage: one penalty, a warm start or a cross-validation grid)
@@ -258,32 +260,37 @@ class _Gram:
     built when the active-set code first reads it.
 
     D is the design or an iterable of its row blocks, in row order; an
-    array is read in blocks of _BLOCK_ROWS rows. The first block's C'C is
-    assigned (a design of at most _BLOCK_ROWS rows gives D'D bit for bit);
-    each later block adds the upper triangle of its own C'C in panels of
-    _PANEL rows, so no p x p temporary is made, and the lower triangle is
-    mirrored once at the end. A sieve fit streams its basis expansion this
-    way and never holds the n x M design."""
+    array is read in blocks of _BLOCK_ROWS rows. The sums are
+    _block_sums's: a design of at most _BLOCK_ROWS rows gives D'D bit for
+    bit, and a longer one is summed on and above the diagonal and mirrored
+    once at the end. A sieve fit streams its basis expansion this way and
+    never holds the n x M design; its hold-out ladder grows the sums
+    itself and reads them through from_sums."""
 
     def __init__(self, D, R):
         n = R.shape[0]
         if isinstance(D, np.ndarray):
             D = [D[rows] for rows in _row_blocks(n)]
-        s = blocks = 0
-        for C in D:
-            Rb = R[s:s + C.shape[0]]
-            if blocks == 0:
-                A, b = C.T @ C, C.T @ Rb
-            else:
-                _add_upper(A, C)
-                b += C.T @ Rb
-            s += C.shape[0]
-            blocks += 1
-            del C  # let the block go before the next one is made
+        A, b, blocks = _block_sums(D, R)
         if blocks > 1:
             _mirror_upper(A)
         A /= n
         b /= n
+        self._normalized(A, b, R)
+
+    @classmethod
+    def from_sums(cls, A, b, R):
+        """The gram of the sums A (on and above the diagonal) and b that
+        _block_sums gave over the rows of R, which are left as they are."""
+        G = object.__new__(cls)
+        n = R.shape[0]
+        A = A / n
+        _mirror_upper(A)
+        G._normalized(A, b / n, R)
+        return G
+
+    def _normalized(self, A, b, R):
+        n = R.shape[0]
         self.A, self.b = A, b
         self.c = float(R @ R) / n if R.ndim == 1 else _coldot(R, R) / n
         nsq, self.zero_var = _pin_zero_variance(np.diagonal(self.A).copy())
@@ -329,11 +336,50 @@ def _row_blocks(n):
                                                      _BLOCK_ROWS)]
 
 
-def _add_upper(A, C):
-    """A += C'C on and above the diagonal, one panel of rows at a time."""
+def _block_sums(D, R, A=None, b=None, start=0):
+    """Unnormalized gram sums over the row blocks C of a design D, in row
+    order, R's rows matching theirs: C'C on and above the diagonal, and
+    C'R. Returns (A, b, number of blocks).
+
+    Without A the sums begin at the first block, whose products are
+    assigned. Given A and b, sized for the blocks' columns, each block
+    adds what involves its columns from start on. With start = 0 the
+    blocks are rows not yet summed. With start = m they are the rows
+    whose sums over their first m columns A and b already hold, and each
+    block adds only the border: the cross block C[:, :m]'C[:, m:],
+    C[:, m:]'C[:, m:] and C[:, m:]'R (the bordered gram of Golub & Van
+    Loan, Matrix Computations, section 6.5)."""
+    s = blocks = 0
+    for C in D:
+        Rb = R[s:s + C.shape[0]]
+        if A is None:
+            A, b = C.T @ C, C.T @ Rb
+        else:
+            _add_upper(A, C, start)
+            b[start:] += C[:, start:].T @ Rb
+        s += C.shape[0]
+        blocks += 1
+        del C  # let the block go before the next one is made
+    return A, b, blocks
+
+
+def _widened(A, b, M):
+    """Sums for M columns with A and b as their leading block and zeros
+    in the border, for _block_sums to fill."""
+    m = A.shape[0]
+    A_new = np.zeros((M, M))
+    A_new[:m, :m] = A
+    b_new = np.zeros((M,) + b.shape[1:])
+    b_new[:m] = b
+    return A_new, b_new
+
+
+def _add_upper(A, C, start=0):
+    """A += C'C on and above the diagonal, in the columns from start on,
+    one panel of rows at a time."""
     for j in range(0, A.shape[0], _PANEL):
-        k = j + _PANEL
-        A[j:k, j:] += C[:, j:k].T @ C[:, j:]
+        k, first = j + _PANEL, max(j, start)
+        A[j:k, first:] += C[:, j:k].T @ C[:, first:]
 
 
 def _mirror_upper(A):

@@ -89,15 +89,27 @@ def _enumerate_up_to(p1, p1_prime, d_cap, w):
 class BasisIndexSet:
     """An ordered, truncated set of tensor-product multi-indices."""
 
-    __slots__ = ("p1", "p1_prime", "a", "d_cap", "multi_indices")
+    __slots__ = ("p1", "p1_prime", "a", "d_cap", "multi_indices", "_orders")
 
     def __init__(self, p1, p1_prime, a, multi_indices, d_cap=64):
-        object.__setattr__(self, "p1", int(p1))
-        object.__setattr__(self, "p1_prime", int(p1_prime))
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "d_cap", int(d_cap))
-        object.__setattr__(self, "multi_indices",
-                           tuple(tuple(int(q) for q in m) for m in multi_indices))
+        self._set(p1, p1_prime, a, d_cap,
+                  tuple(tuple(int(q) for q in m) for m in multi_indices))
+
+    @classmethod
+    def _of_ints(cls, p1, p1_prime, a, multi_indices, d_cap, orders=None):
+        """A set whose indices are already a tuple of int tuples (unravel's
+        and their leading blocks), taken as they are, with their orders
+        array when it is known."""
+        basis = object.__new__(cls)
+        basis._set(p1, p1_prime, a, d_cap, multi_indices, orders)
+        return basis
+
+    def _set(self, p1, p1_prime, a, d_cap, multi_indices, orders=None):
+        for name, value in (("p1", int(p1)), ("p1_prime", int(p1_prime)),
+                            ("a", float(a)), ("d_cap", int(d_cap)),
+                            ("multi_indices", multi_indices),
+                            ("_orders", orders)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisIndexSet is immutable")
@@ -108,6 +120,16 @@ class BasisIndexSet:
     @property
     def M(self):
         return len(self.multi_indices)
+
+    @property
+    def orders(self):
+        """The (M, p1) integer array of the multi-indices, read-only, built
+        on first use."""
+        if self._orders is None:
+            orders = np.array(self.multi_indices).reshape(len(self), self.p1)
+            orders.flags.writeable = False
+            object.__setattr__(self, "_orders", orders)
+        return self._orders
 
     def to_dict(self):
         return {"p1": self.p1, "p1_prime": self.p1_prime, "a": self.a,
@@ -146,7 +168,7 @@ def unravel(p1, p1_prime, M, a=1.0, d_cap=64):
             break
         w *= 2
     found.sort(key=_sort_key)
-    return BasisIndexSet(p1, p1_prime, a, found[:M], d_cap)
+    return BasisIndexSet._of_ints(p1, p1_prime, a, tuple(found[:M]), d_cap)
 
 
 def default_truncation(p, n_p, budget=None, p1_prime=1, d_cap=64):
@@ -197,7 +219,7 @@ def expand(X, basis):
     """
     X = _check_input(X, basis)
     a = basis.a
-    orders = np.array(basis.multi_indices).reshape(len(basis), basis.p1)
+    orders = basis.orders
     used = orders > 1
     rows, coords = np.nonzero(used)
     degrees = orders[rows, coords]

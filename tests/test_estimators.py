@@ -20,7 +20,7 @@ from heterotl.feature_map import (FeatureMapModel, average_maps,
 from heterotl.penalized_reg import (_RANK_MARGIN, LassoSettings,
                                     _lstsq_minnorm, _nested_lstsq,
                                     lasso_with_offset, null_threshold)
-from heterotl.sieve_basis import unravel
+from heterotl.sieve_basis import expand, unravel
 from heterotl.simulation import gen_linear_scenario
 from oracles import ols
 
@@ -308,13 +308,19 @@ def _sieve_world(seed, K=2, n_p=400, p1=5):
 
 
 def _spy_grams(monkeypatch):
-    """The row count of every sieve map fit's _Gram from now on."""
+    """How ("built" from a design, or "grown" by the hold-out ladder) and
+    on how many rows every sieve gram from now on is made."""
     rows = []
 
     class Spy(penalized_reg._Gram):
         def __init__(self, D, R):
-            rows.append(R.shape[0])
+            rows.append(("built", R.shape[0]))
             super().__init__(D, R)
+
+        @classmethod
+        def from_sums(cls, A, b, R):
+            rows.append(("grown", R.shape[0]))
+            return super().from_sums(A, b, R)
 
     monkeypatch.setattr(feature_map, "_Gram", Spy)
     return rows
@@ -335,7 +341,7 @@ def test_sieve_budget_pins_m_with_no_hold_out(monkeypatch):
     rows = _spy_grams(monkeypatch)
     model = fit_htl(proxies, target, map_kind="sieve", lam=0.2, budget=60)
     # one gram per proxy, on all its rows
-    assert rows == [400, 400]
+    assert rows == [("built", 400)] * 2
     assert np.array_equal(model.map.Theta,
                           _direct_sieve_theta(proxies, model, 60))
 
@@ -345,7 +351,7 @@ def test_sieve_cap_of_101_or_less_is_fit_directly(monkeypatch):
     proxies, target = _sieve_world(41, n_p=200)
     rows = _spy_grams(monkeypatch)
     model = fit_htl(proxies, target, map_kind="sieve", lam=0.2)
-    assert rows == [200, 200]
+    assert rows == [("built", 200)] * 2
     assert np.array_equal(model.map.Theta,
                           _direct_sieve_theta(proxies, model, 100))
 
@@ -354,25 +360,37 @@ def test_sieve_default_truncation_is_picked_on_held_out_rows(monkeypatch):
     proxies, target = _sieve_world(42)
     rows = _spy_grams(monkeypatch)
     model = fit_htl(proxies, target, map_kind="sieve", lam=0.2, cv_seed=3)
-    # per proxy: rungs 101 and 125 on the 320 rows outside fold 0, then
-    # the fit at the picked M on all 400
-    assert rows == [320, 320, 400] * 2
+    # per proxy: rungs 101 and 125 grown on the 320 rows outside fold 0,
+    # then the picked rung's gram grown by the held-out rows to all 400;
+    # no gram is built from scratch
+    assert rows == [("grown", 320), ("grown", 320), ("grown", 400)] * 2
     again = fit_htl(proxies, target, map_kind="sieve", lam=0.2, cv_seed=3)
     assert np.array_equal(model.map.Theta, again.map.Theta)
     assert model.map.basis.to_dict() == again.map.basis.to_dict()
-    picked = [len(feature_map._held_out_truncation(
-        pr, unravel(5, 1, 125), x_scale=model.map.x_scale, cv_seed=3))
-        for pr in proxies]
+    x_scale = model.map.x_scale
+    fits = [feature_map._fit_held_out(pr, unravel(5, 1, 125),
+                                      x_scale=x_scale, cv_seed=3)
+            for pr in proxies]
     # the proxy with the high-frequency term needs the larger basis, and
     # the other proxy's smaller fit is zero-padded into the average
+    picked = [len(f.basis) for f in fits]
     assert picked == [101, 125]
     assert len(model.map.basis) == 125
-    theta = [fit_sieve_map(pr, unravel(5, 1, M), "auto", LassoSettings(),
-                           x_scale=model.map.x_scale).Theta
-             for pr, M in zip(proxies, picked)]
-    top = max(picked)
-    padded = [np.pad(t, ((0, top - len(t)), (0, 0))) for t in theta]
-    assert np.array_equal(model.map.Theta, np.mean(padded, axis=0))
+    assert np.array_equal(model.map.Theta, average_maps(fits).Theta)
+    settings = LassoSettings()
+    for pr, fit in zip(proxies, fits):
+        # the grown gram differs from one built on all rows by rounding,
+        # so the fit matches the direct fit closely, not bit for bit, and
+        # is certified on the built gram
+        direct = fit_sieve_map(pr, fit.basis, "auto", settings,
+                               x_scale=x_scale)
+        assert np.max(np.abs(fit.Theta - direct.Theta)) <= \
+            1e-12 * np.max(np.abs(direct.Theta))
+        G = penalized_reg._Gram(expand(pr.x / x_scale, fit.basis), pr.z)
+        M = len(fit.basis)
+        gammas = np.full(2, np.sqrt(np.log(M) / pr.n))
+        assert penalized_reg._certified(fit.Theta, *G.state(fit.Theta),
+                                        G.c, gammas, settings.tol).all()
 
 
 def test_sieve_cv_gamma_runs_once_per_proxy_at_the_picked_m(monkeypatch):

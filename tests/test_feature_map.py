@@ -302,7 +302,7 @@ def _scripted_ladder(monkeypatch, errors):
 
     monkeypatch.setattr(feature_map, "_rung_error", script)
     proxy, _ = _sieve_proxy(30, 300, unravel(20, 1, 10))
-    picked = feature_map._held_out_truncation(proxy, unravel(20, 1, 1261))
+    picked, _ = feature_map._held_out_truncation(proxy, unravel(20, 1, 1261))
     return scored, len(picked)
 
 
@@ -317,29 +317,92 @@ def test_ladder_stops_at_the_first_rung_that_does_not_improve(
     assert _scripted_ladder(monkeypatch, errors) == (scored, picked)
 
 
+def _close(a, b, rel):
+    """Entries of a within rel of b's largest entry."""
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+def _gram_close(G, ref, rel=1e-13):
+    return (_close(G.A, ref.A, rel) and _close(G.b, ref.b, rel)
+            and _close(G.c, ref.c, rel) and np.array_equal(G.A, G.A.T))
+
+
 def test_ladder_fits_without_fold_zero_and_scores_on_it(monkeypatch):
     basis = unravel(5, 1, 125)
     proxy, _ = _sieve_proxy(31, 400, unravel(5, 1, 30))
     x_scale = np.full(5, 1.25)
     calls, rung_error = [], feature_map._rung_error
 
-    def spy(train, X_held, Z_held, basis, *args):
-        calls.append((train, X_held, Z_held, len(basis)))
-        return rung_error(train, X_held, Z_held, basis, *args)
+    def spy(G, X_held, Z_held, basis, *args):
+        calls.append((G, X_held, Z_held, basis))
+        return rung_error(G, X_held, Z_held, basis, *args)
 
     monkeypatch.setattr(feature_map, "_rung_error", spy)
-    picked = feature_map._held_out_truncation(proxy, basis, x_scale=x_scale,
-                                              cv_folds=4, cv_seed=9)
+    picked, G_all = feature_map._held_out_truncation(
+        proxy, basis, x_scale=x_scale, cv_folds=4, cv_seed=9)
     held = _folds(400, 4, 9)[0]
     rest = np.setdiff1d(np.arange(400), held)
-    assert [c[3] for c in calls] == [101, 125]
-    for train, X_held, Z_held, _ in calls:
-        # rows keep their order, scaled by x_scale once
-        assert np.array_equal(train.x, proxy.x[rest] / x_scale)
-        assert np.array_equal(train.z, proxy.z[rest])
-        assert np.array_equal(X_held, proxy.x[held] / x_scale)
+    assert [len(c[3]) for c in calls] == [101, 125]
+    X = proxy.x / x_scale
+    for G, X_held, Z_held, rung in calls:
+        # each rung's grown gram is its training rows' gram, rows in
+        # order and scaled by x_scale once
+        assert _gram_close(G, penalized_reg._Gram(expand(X[rest], rung),
+                                                  proxy.z[rest]))
+        assert np.array_equal(X_held, X[held])
         assert np.array_equal(Z_held, proxy.z[held])
     assert len(picked) in (101, 125)
+    # the picked rung's training sums plus the held-out rows' give the
+    # gram of every row
+    assert _gram_close(G_all, penalized_reg._Gram(expand(X, picked),
+                                                  proxy.z))
+
+
+@pytest.mark.parametrize("errors, picked", [([2.0, 1.0, 1.5], 201),
+                                            ([2.0, 1.0, 0.5], 401)])
+def test_ladder_grows_one_gram_over_every_rung(monkeypatch, errors,
+                                               picked):
+    # the 600 training rows are a full block and a short one, and rung
+    # 401 straddles the second panel: each rung's grown gram and the
+    # picked rung's all-rows gram match grams built from scratch
+    basis = unravel(20, 1, 401)
+    proxy, _ = _sieve_proxy(34, 750, unravel(20, 1, 40))
+    held = _folds(750, 5, 0)[0]
+    rest = np.setdiff1d(np.arange(750), held)
+    grams = []
+
+    def script(G, X_held, Z_held, rung, *args):
+        grams.append((G, rung))
+        return errors[len(grams) - 1]
+
+    monkeypatch.setattr(feature_map, "_rung_error", script)
+    rung, G_all = feature_map._held_out_truncation(proxy, basis)
+    assert [len(r) for _, r in grams] == [101, 201, 401]
+    for G, r in grams:
+        assert _gram_close(G, penalized_reg._Gram(expand(proxy.x[rest], r),
+                                                  proxy.z[rest]))
+    assert len(rung) == picked
+    assert _gram_close(G_all, penalized_reg._Gram(expand(proxy.x, rung),
+                                                  proxy.z))
+
+
+def test_ladder_never_expands_more_than_a_block(monkeypatch):
+    # every expansion the ladder and its final fit make, the rung fits'
+    # held-out scoring included, is one row block
+    proxy, _ = _sieve_proxy(35, 1400, unravel(20, 1, 40))
+    rows = []
+
+    def spy(X, basis):
+        rows.append(X.shape[0])
+        return expand(X, basis)
+
+    monkeypatch.setattr(feature_map, "expand", spy)
+    model = feature_map._fit_held_out(proxy, unravel(20, 1, 401))
+    # per rung scored, the 1120 training rows in blocks of 512 and the
+    # 280 held-out rows; then the held-out rows once more at the pick
+    k = len(rows) // 4
+    assert k >= 2 and rows == [512, 512, 96, 280] * k + [280]
+    assert model.Theta.shape == (len(model.basis), 2)
 
 
 def test_ladder_leaves_a_cap_of_101_unfit(monkeypatch):
@@ -350,7 +413,8 @@ def test_ladder_leaves_a_cap_of_101_unfit(monkeypatch):
     proxy, _ = _sieve_proxy(32, 300, unravel(20, 1, 10))
     for M in (10, 101):
         basis = unravel(20, 1, M)
-        assert feature_map._held_out_truncation(proxy, basis) is basis
+        picked, G = feature_map._held_out_truncation(proxy, basis)
+        assert picked is basis and G is None
 
 
 def test_ladder_support_error_names_its_row_in_x():

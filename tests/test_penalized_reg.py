@@ -11,9 +11,9 @@ from heterotl import penalized_reg
 from heterotl.core import ConfigError, DimensionError, InvalidValueError
 from heterotl.estimators import fit_proxy_coefficients
 from heterotl.feature_map import average_maps, fit_linear_map, impute
-from heterotl.penalized_reg import (LassoSettings, _Gram, _lasso_path,
-                                    _prox_grad_columns, cv_lambda,
-                                    default_grid, kkt_check, lasso,
+from heterotl.penalized_reg import (LassoSettings, _block_sums, _Gram,
+                                    _lasso_path, _prox_grad_columns,
+                                    cv_lambda, default_grid, kkt_check, lasso,
                                     lasso_with_offset, null_threshold,
                                     objective, soft_threshold, warm_start)
 from heterotl.simulation import SimConfig, _one_rep, gen_linear_scenario
@@ -654,6 +654,41 @@ def test_gram_streamed_in_row_blocks_matches_one_shot():
             blocks = (D[i:i + B] for i in range(0, n, B))
             S = _Gram(blocks, R)
             assert np.array_equal(S.A, G.A) and np.array_equal(S.b, G.b)
+
+
+def test_gram_sums_grow_by_bordering_and_by_rows():
+    # one growing set of sums: columns 0..m of the first rows, bordered
+    # out to all columns, then the last rows added; it matches the gram
+    # built at once, and sums built at once give _Gram's own bits
+    B, W = penalized_reg._BLOCK_ROWS, penalized_reg._PANEL
+    rng = np.random.default_rng(47)
+    n, n_new = 2 * B + 9, B + 3
+    # one panel; then a border whose first panel lies wholly before
+    # start and whose second straddles it
+    for m, p in ((W // 4, W // 2), (W + 5, 2 * W + 37)):
+        D = rng.standard_normal((n + n_new, p)) + rng.uniform(-2.0, 2.0, p)
+        R = rng.standard_normal((n + n_new, 3))
+        old, new = D[:n], D[n:]
+        A, b, _ = _block_sums((old[i:i + B, :m] for i in range(0, n, B)),
+                              R[:n])
+        A, b = penalized_reg._widened(A, b, p)
+        A, b, blocks = _block_sums((old[i:i + B] for i in range(0, n, B)),
+                                   R[:n], A, b, start=m)
+        assert blocks == 3
+        G = _Gram.from_sums(A, b, R[:n])
+        ref = _Gram(old, R[:n])
+        assert np.array_equal(G.A, G.A.T)
+        assert np.max(np.abs(G.A - ref.A)) <= 1e-13 * np.max(np.abs(ref.A))
+        assert np.max(np.abs(G.b - ref.b)) <= 1e-13 * np.max(np.abs(ref.b))
+        A, b, _ = _block_sums((new[i:i + B] for i in range(0, n_new, B)),
+                              R[n:], A, b)
+        G, ref = _Gram.from_sums(A, b, R), _Gram(D, R)
+        assert np.max(np.abs(G.A - ref.A)) <= 1e-13 * np.max(np.abs(ref.A))
+        assert np.max(np.abs(G.b - ref.b)) <= 1e-13 * np.max(np.abs(ref.b))
+        assert np.array_equal(G.c, ref.c)
+        A, b, _ = _block_sums((D[i:i + B] for i in range(0, len(D), B)), R)
+        G = _Gram.from_sums(A, b, R)
+        assert np.array_equal(G.A, ref.A) and np.array_equal(G.b, ref.b)
 
 
 def test_single_block_gram_is_the_one_shot_product():
