@@ -16,13 +16,18 @@ so two index sets with the same parameters agree on their common prefix.
 
 Design matrices are built without a cosine per order: phi_q(x) is
 sqrt(2) times the real part of e^(q-1) with e = exp(i pi (x+a) / (2a)), so
-expand raises e to one degree after the other and multiplies each degree's
-factors into the basis columns that use it. The result is an (n, M)
-Fortran-ordered array (the transpose of the (M, n) buffer it fills).
+expand raises e to one degree after the other and puts each degree's
+factors into the basis columns that use it: a column's first factor is
+assigned and a later one multiplied in, and a degree whose columns are one
+run over consecutive coordinates (each degree at p1_prime = 1) is written
+as one slice. The result is an (n, M) Fortran-ordered array (the transpose
+of the (M, n) buffer it fills). unravel is memoised, since its sets are
+immutable.
 """
 
-from math import comb
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -142,11 +147,14 @@ class BasisIndexSet:
                    d.get("d_cap", 64))
 
 
+@lru_cache(maxsize=16)
 def unravel(p1, p1_prime, M, a=1.0, d_cap=64):
     """First M admissible multi-indices under the deterministic ordering.
 
     Raises CapacityError when M exceeds the count of indices reachable with
-    per-coordinate degree at most d_cap.
+    per-coordinate degree at most d_cap. The result depends on the
+    arguments alone and BasisIndexSet is immutable, so calls are memoised:
+    equal arguments return the same set.
     """
     if M < 1:
         raise ConfigError(f"M must be >= 1, got {M}")
@@ -213,27 +221,63 @@ def expand(X, basis):
 
     No cosine is evaluated per order: with e = exp(i pi (x + a) / (2a)),
     phi_q(x) = sqrt(2) * Re(e^(q-1)), so one complex multiply per degree
-    gives every coordinate's factor of that degree, which is multiplied
-    straight into the rows of an (M, n) array whose indices use it. The
-    result is the transpose of that array: an (n, M) Fortran-ordered view.
+    gives every coordinate's factor of that degree. Each row of an (M, n)
+    array takes its factors in ascending degree, ties in coordinate order:
+    the first is assigned and any later one multiplied in. A degree whose
+    rows are one contiguous run over contiguous coordinates (every degree
+    when p1_prime = 1, in unravel's order) is written straight into that
+    slice of rows. The result is the transpose of that array: an (n, M)
+    Fortran-ordered view.
     """
     X = _check_input(X, basis)
     a = basis.a
-    orders = basis.orders
-    used = orders > 1
-    rows, coords = np.nonzero(used)
-    degrees = orders[rows, coords]
-    # factor slot within its index (1..p1_prime): a row holds each slot
-    # once, so one slot's rows can be updated by a single fancy index
-    slots = np.cumsum(used, axis=1)[rows, coords]
-    n_slots = int(slots.max(initial=0))
-    out = np.ones((len(basis), X.shape[0]))
+    out = np.empty((len(basis), X.shape[0]))
     e = np.exp(1j * np.pi / (2.0 * a) * (X.T + a))
     power = np.ones_like(e)
-    for d in range(2, int(degrees.max(initial=1)) + 1):
+    out[basis.orders.max(axis=1, initial=1) == 1] = 1.0  # no factor
+    for groups in _factor_plan(basis.orders):
         power *= e
-        factor = np.sqrt(2.0) * power.real
-        for s in range(1, n_slots + 1):
-            sel = (degrees == d) & (slots == s)
-            out[rows[sel]] *= factor[coords[sel]]
+        for rows, coords, first in groups:
+            if first and isinstance(rows, slice):
+                np.multiply(np.sqrt(2.0), power.real[coords], out=out[rows])
+            elif first:
+                out[rows] = np.sqrt(2.0) * power.real[coords]
+            else:
+                out[rows] *= np.sqrt(2.0) * power.real[coords]
     return out.T
+
+
+def _factor_plan(orders):
+    """Per degree 2, 3, ... up to the largest, the groups of factors that
+    expand applies at that degree, in its order: (rows, coords, first),
+    rows and coords as slices where they are contiguous runs and as index
+    arrays otherwise, first whether the group's rows take their first
+    factor. A row's factors come in ascending degree, ties by slot (its
+    j-th coordinate above 1 is slot j); a group is one degree, one slot
+    and one value of first, so it holds each row once."""
+    used = orders > 1
+    rows, coords = np.nonzero(used)
+    if not rows.size:
+        return []
+    slots = np.cumsum(used, axis=1)[rows, coords]
+    # (degree, slot) as one key, and a row's first factor is its lowest;
+    # the key's last bit then splits a group's first factors from others
+    key = orders[rows, coords] * (orders.shape[1] + 1) + slots
+    lowest = np.full(len(orders), key.max() + 1)
+    np.minimum.at(lowest, rows, key)
+    key = 2 * key + (key != lowest[rows])
+    # stable, so a group's entries stay in row order, as nonzero gave them
+    order = np.argsort(key, kind="stable")
+    key, rows, coords = key[order], rows[order], coords[order]
+    cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+    r, c, per_degree = rows.tolist(), coords.tolist(), 2 * orders.shape[1] + 2
+    plan = [[] for _ in range(key[-1] // per_degree - 1)]
+    for i, j in zip([0] + cuts, cuts + [len(r)]):
+        k = int(key[i])
+        if r[j - 1] - r[i] == j - i - 1 \
+                and c[i:j] == list(range(c[i], c[i] + j - i)):
+            group = (slice(r[i], r[j - 1] + 1), slice(c[i], c[i] + j - i))
+        else:
+            group = (rows[i:j], coords[i:j])
+        plan[k // per_degree - 2].append(group + (k % 2 == 0,))
+    return plan

@@ -3,12 +3,18 @@
 Everything here is deliberately naive: plain loops, brute-force
 enumeration, dense SVD, trapezoid quadrature, and a projected-gradient
 solver. The package must agree with these, never the other way around.
+The last section keeps earlier, plainer forms of three sieve kernels (the
+FISTA loop, its stop test and the basis expansion), which the package's
+leaner forms must match to the bit.
 """
 
 import itertools
 import warnings
 
 import numpy as np
+
+from heterotl import penalized_reg as pr
+from heterotl.sieve_basis import _check_input
 
 # np.trapz was retired in favor of np.trapezoid
 _trapezoid = getattr(np, "trapezoid", None)
@@ -210,3 +216,76 @@ def offset_objective(D, y, omega_hat, beta, lam):
     """(1/n) ||y - D beta||^2 + lam ||beta - omega_hat||_1."""
     e = y - D @ beta
     return float(np.mean(e * e) + lam * np.sum(np.abs(beta - omega_hat)))
+
+
+# -- earlier forms of the sieve kernels, for bit-identity tests ----------
+
+def certified_masked(T, H, mse, c, lams, tol, slack=0.0):
+    """The stop test of penalized_reg._certified with s taken over the
+    entries whose quotient is below 1 only, each masked in a full array."""
+    absH = np.abs(H)
+    num, absH2 = lams + slack, 2.0 * absH
+    room = np.divide(num, absH2, out=np.full(absH.shape, np.inf),
+                     where=absH2 > num)
+    s = np.minimum(1.0, room.min(axis=0, initial=1.0))
+    pen = lams * np.abs(T).sum(axis=0)
+    gap = (1.0 - s) ** 2 * mse - 2.0 * s * (T * H).sum(axis=0) + pen
+    hmax = absH.max(axis=0, initial=0.0)
+    return np.where(lams > 0.0, gap <= pr._GAP_TOL * c, 2.0 * hmax <= tol)
+
+
+def prox_grad_columns_plain(G, lams, settings):
+    """penalized_reg._prox_grad_columns written one whole-array expression
+    per quantity: soft_threshold, a where for frozen columns, and the
+    restart test on Y - T, with certified_masked as its stop test."""
+    lams = np.asarray(lams, dtype=float)
+    Theta = np.zeros((G.w.size, lams.size))
+    lip = 2.0 * pr._LIP_MARGIN * pr._top_eigenvalue(G.A)
+    H, mse = G.state(Theta)
+    Y, HY, t = Theta, H, np.ones_like(lams)
+    conv = np.zeros(lams.shape, dtype=bool)
+    it = 0
+    while True:
+        conv |= certified_masked(Theta, H, mse, G.c, lams, settings.tol)
+        if conv.all() or it == settings.max_iters:
+            return Theta, it, conv
+        it += 1
+        Z = Y + (2.0 / lip) * HY
+        T = np.where(conv, Theta, pr.soft_threshold(Z, lams / lip))
+        H_new, mse_new = G.state(T)
+        step = T - Y
+        if np.any(pr._coldot(step, HY - H_new)
+                  > 0.5 * lip * pr._coldot(step, step)):
+            lip *= 2.0
+            Y, HY, t = Theta, H, np.ones_like(lams)
+            continue
+        restart = pr._coldot(Y - T, T - Theta) > 0.0
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        mom = np.where(restart, 0.0, (t - 1.0) / t_new)
+        t = np.where(restart, 1.0, t_new)
+        Y = T + mom * (T - Theta)
+        HY = H_new + mom * (H_new - H)
+        Theta, H, mse = T, H_new, mse_new
+
+
+def expand_by_masks(X, basis):
+    """sieve_basis.expand as a buffer of ones that each degree's factors
+    are multiplied into, one slot at a time, rows picked by masks."""
+    X = _check_input(X, basis)
+    a = basis.a
+    orders = basis.orders
+    used = orders > 1
+    rows, coords = np.nonzero(used)
+    degrees = orders[rows, coords]
+    slots = np.cumsum(used, axis=1)[rows, coords]
+    n_slots = int(slots.max(initial=0))
+    out = np.ones((len(basis), X.shape[0]))
+    e = np.exp(1j * np.pi / (2.0 * a) * (X.T + a))
+    power = np.ones_like(e)
+    for d in range(2, int(degrees.max(initial=1)) + 1):
+        power *= e
+        factor = np.sqrt(2.0) * power.real
+        for s in range(1, n_slots + 1):
+            sel = (degrees == d) & (slots == s)
+            out[rows[sel]] *= factor[coords[sel]]
+    return out.T

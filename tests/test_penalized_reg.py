@@ -17,7 +17,8 @@ from heterotl.penalized_reg import (LassoSettings, _block_sums, _Gram,
                                     lasso_with_offset, null_threshold,
                                     objective, soft_threshold, warm_start)
 from heterotl.simulation import SimConfig, _one_rep, gen_linear_scenario
-from oracles import RankWarning, offset_objective, ols, pg_lasso
+from oracles import (RankWarning, certified_masked, offset_objective, ols,
+                     pg_lasso, prox_grad_columns_plain)
 
 
 def _instance(seed, n=60, p=10, sparsity=3, noise=0.3):
@@ -634,6 +635,68 @@ def test_prox_grad_columns_cap():
     assert it == 2 and not conv[:2].any()
     # the null column is certified at the zero start, before any step
     assert conv[2]
+
+
+def _zero_variance_columns_instance():
+    D, R, lams = _columns_instance(44, 40, 9)
+    D[:, 4] = 0.0
+    return D, R, lams
+
+
+@pytest.mark.parametrize("case", ["tall", "wide", "zero_variance",
+                                  "small_step", "capped"])
+def test_prox_grad_columns_match_the_plain_iteration_to_the_bit(
+        case, monkeypatch):
+    # every instance has a lam = 0 column and a null one; the small step
+    # estimate makes the iteration back off (lip doubles), and the capped
+    # run stops after two iterations with columns still open
+    D, R, lams = {"tall": lambda: _columns_instance(16, 40, 9),
+                  "wide": lambda: _columns_instance(41, 20, 100),
+                  "zero_variance": _zero_variance_columns_instance,
+                  "small_step": lambda: _columns_instance(42, 40, 9),
+                  "capped": lambda: _columns_instance(43, 20, 100)}[case]()
+    if case == "small_step":
+        monkeypatch.setattr(penalized_reg, "_LIP_MARGIN", 0.05)
+    settings = LassoSettings(max_iters=2 if case == "capped" else 10000)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".*zero-variance", UserWarning)
+        G = _Gram(D, R)
+    Theta, it, conv = _prox_grad_columns(G, lams, settings)
+    ref, ref_it, ref_conv = prox_grad_columns_plain(G, lams, settings)
+    assert np.array_equal(Theta, ref)
+    assert it == ref_it and np.array_equal(conv, ref_conv)
+    assert conv.all() != (case == "capped")
+
+
+def test_certified_gives_the_masked_verdicts_without_warnings():
+    D, R, lams = _columns_instance(45, 40, 9)
+    G = _Gram(D, R)
+    Theta, _, _ = _prox_grad_columns(G, lams, LassoSettings())
+    cases = []
+    for T in (Theta, 1.01 * Theta, np.zeros_like(Theta)):
+        H, mse = G.state(T)
+        cases.append((T, H, mse, G.c, lams, 0.0))
+        # a zero H: 0/0 in the lam = 0 column, x/0 in the others
+        cases.append((T, np.zeros_like(H), mse, G.c, lams, 0.0))
+        # the per-row allowance _lasso_path passes, zero in one column
+        slack = G.slack(lams)
+        slack[:, 0] = 0.0
+        cases.append((T, H, mse, G.c, lams, slack))
+        cases.append((T, np.zeros_like(H), mse, G.c, lams, slack))
+        # one column as a vector, as _feature_sign passes it
+        cases.append((T[:, 1], H[:, 1], mse[1], G.c[1], lams[1],
+                      G.slack(lams[1])))
+        cases.append((T[:, 0], np.zeros_like(H[:, 0]), mse[0], G.c[0], 0.0,
+                      0.0))
+    verdicts = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for T, H, mse, c, lam, slack in cases:
+            got = penalized_reg._certified(T, H, mse, c, lam, 1e-9, slack)
+            assert np.array_equal(
+                got, certified_masked(T, H, mse, c, lam, 1e-9, slack))
+            verdicts.update(np.atleast_1d(got).tolist())
+    assert verdicts == {True, False}
 
 
 def test_gram_streamed_in_row_blocks_matches_one_shot():

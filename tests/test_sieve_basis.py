@@ -10,7 +10,8 @@ from heterotl.core import (CapacityError, ConfigError, DimensionError,
                            InvalidValueError, SupportError)
 from heterotl.sieve_basis import (BasisIndexSet, admissible_count,
                                   default_truncation, expand, phi, unravel)
-from oracles import brute_force_indices, cosine_quadrature
+from oracles import (brute_force_indices, cosine_quadrature,
+                     expand_by_masks)
 
 
 def test_phi_constant_first():
@@ -167,6 +168,35 @@ def test_expand_rows_independent():
     whole = expand(X, basis)
     stacked = np.vstack([expand(X[:4], basis), expand(X[4:], basis)])
     assert np.array_equal(whole, stacked)
+
+
+@pytest.mark.parametrize("p1, p1_prime, M", [(20, 1, 150), (5, 2, 203),
+                                             (4, 3, 307), (3, 1, 1)])
+def test_expand_matches_the_masked_products_to_the_bit(p1, p1_prime, M):
+    # each M ends partway through a degree
+    X = np.random.default_rng(12).uniform(-1.0, 1.0, size=(37, p1))
+    basis = unravel(p1, p1_prime, M)
+    assert np.array_equal(expand(X, basis), expand_by_masks(X, basis))
+
+
+@pytest.mark.parametrize("p1_prime, M", [(1, 150), (2, 203), (3, 307)])
+def test_expand_any_index_order_matches_the_masked_products(p1_prime, M):
+    # a loaded set may list its indices in any order, so a degree's rows
+    # need not be one run: expand must find out, not assume
+    basis = unravel(4 if p1_prime == 3 else 20, p1_prime, M).to_dict()
+    order = np.random.default_rng(13).permutation(M)
+    basis["indices"] = [basis["indices"][i] for i in order]
+    basis = BasisIndexSet.from_dict(basis)
+    X = np.random.default_rng(14).uniform(-1.0, 1.0, size=(37, basis.p1))
+    assert np.array_equal(expand(X, basis), expand_by_masks(X, basis))
+
+
+def test_unravel_is_memoised():
+    basis = unravel(6, 2, 40, a=1.5, d_cap=9)
+    assert unravel(6, 2, 40, a=1.5, d_cap=9) is basis
+    for other in (unravel(6, 2, 40, a=2.0, d_cap=9),
+                  unravel(6, 2, 40, a=1.5, d_cap=10)):
+        assert other is not basis and other.to_dict() != basis.to_dict()
 
 
 def test_expand_errors():
