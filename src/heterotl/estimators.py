@@ -24,8 +24,8 @@ from .core import (ConfigError, ConvergenceError, Dataset, DimensionError,
                    _check_nonnegative, _check_penalty, _check_seed,
                    _require_finite, _utf8_error, apply_centering,
                    fit_centering, write_atomic)
-from .feature_map import (FeatureMapModel, _fit_held_out,
-                          average_maps, fit_linear_map, fit_sieve_map, impute)
+from .feature_map import (FeatureMapModel, average_maps, fit_linear_map,
+                          fit_sieve_map, impute)
 from .penalized_reg import (LassoSettings, SolveDiagnostics, _nested_lstsq,
                             cv_lambda, lasso_with_offset, warm_start)
 from .sieve_basis import default_truncation, unravel
@@ -130,10 +130,10 @@ def _fit_maps(proxies, map_kind, ridge_tau, gamma, c_gamma, p1_prime,
     basis = unravel(p1, p1_prime, M, a=1.0, d_cap=d_cap)
     # a budget pins M; without one, each proxy's held-out rows pick it,
     # with the default truncation as the cap
-    fit = fit_sieve_map if budget is not None else _fit_held_out
-    return average_maps([fit(pr, basis, gamma, settings, c_gamma=c_gamma,
-                             x_scale=x_scale, cv_folds=cv_folds,
-                             cv_seed=cv_seed) for pr in proxies])
+    return average_maps([
+        fit_sieve_map(pr, basis, gamma, settings, c_gamma=c_gamma,
+                      x_scale=x_scale, cv_folds=cv_folds, cv_seed=cv_seed,
+                      ladder=budget is None) for pr in proxies])
 
 
 def _shrink_toward(D, y, omega_hat, lam, settings, cv_folds, cv_seed):
@@ -182,19 +182,19 @@ def fit_htl(proxies, target, map_kind="linear", lam="cv", settings=None,
 
     Stage one fits a feature map on each proxy (linear least squares or
     penalized sieve), averages them, and imputes the target's mismatched
-    block. budget pins the sieve's number of basis functions M; without
-    it, each proxy picks M on held-out rows (fold 0 of the cv_folds folds
-    drawn with cv_seed): the truncations 101, 201, 401, ... up to
-    min(p1^3, n_p / 2, admissible count) are scored until the held-out
-    error stops falling, and the map is refit on all rows at the last
-    rung that improved. The ladder grows one gram per proxy: each rung
-    adds only its new columns' products to the last rung's sums over the
-    training rows, and the refit adds only the held-out rows' sums (a
-    gram equal to one built on all rows up to rounding). Stage two
-    averages per-proxy least-squares coefficients on [X | Z] into
-    omega_hat, then solves the l1 fit of the target response on
-    [X_t | Zhat_t] shrunk toward omega_hat. lam is a
-    number or "cv" for cross-validation on the target sample, over
+    block, one fit_sieve_map call per proxy. budget pins the sieve's
+    number of basis functions M; without it, each proxy picks M on
+    held-out rows (fold 0 of the cv_folds folds drawn with cv_seed): the
+    truncations 101, 201, 401, ... up to min(p1^3, n_p / 2, admissible
+    count) are scored until the held-out error stops falling, and the map
+    is refit on all rows at the last rung that improved. The ladder grows
+    one gram per proxy: each rung adds only its new columns' products to
+    the last rung's sums over the training rows, and the refit adds only
+    the held-out rows' sums (a gram equal to one built on all rows up to
+    rounding). Stage two averages per-proxy least-squares coefficients
+    on [X | Z] into omega_hat, then solves the l1 fit of the target
+    response on [X_t | Zhat_t] shrunk toward omega_hat. lam is a number
+    or "cv" for cross-validation on the target sample, over
     cv_folds folds drawn with cv_seed; gamma="cv" picks the sieve penalty
     with the same folds and seed, once per proxy at its picked M.
     center=True subtracts target-design column means (reapplied at

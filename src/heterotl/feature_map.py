@@ -6,17 +6,19 @@ fits C = P by least squares, ||Z - XP||_F^2 (optionally with a ridge
 shift tau on the Gram, solving (X'X + tau I) P = X'Z). The sieve variant
 takes the cosine tensor basis of X / x_scale and fits C = Theta, all Z
 columns in one l1-penalized proximal-gradient (FISTA) solve on the M x M
-gram of the expansion, accumulated from row blocks of the expansion
-without ever holding all of it; a penalized column stops at a duality
-gap of 1e-10 of its objective at zero (the column's mean square), and
-settings.tol only bounds the gradient of unpenalized ones. Without an
-explicit budget, each proxy's truncation M is picked by a hold-out
-ladder (101, 201, 401, ... up to the default cap) that stops at the
-first rung whose held-out mean squared error does not fall. The bases
-are nested, so each rung is a leading block of the cap's basis, and one
-set of gram sums serves the whole ladder: each rung borders the last
-rung's sums over the training rows with its new columns, and the map is
-then fit on the picked rung's sums plus those of the held-out rows. Maps
+gram of the expansion; a penalized column stops at a duality gap of
+1e-10 of its objective at zero (the column's mean square), and
+settings.tol only bounds the gradient of unpenalized ones. fit_sieve_map
+fits every sieve map on sums over row blocks of the expansion, never
+all of it. Without an explicit budget, each proxy's truncation M is
+picked by a hold-out ladder (101, 201, 401, ... up to the default cap)
+that stops at the first rung whose held-out mean squared error does not
+fall. The bases are nested, so each rung is a leading block of the
+cap's basis, and one set of sums serves the whole ladder: each rung
+borders the last rung's sums over the training rows with its new
+columns, and the map is then fit on the picked rung's sums plus those
+of the held-out rows. gamma="cv" sums each fold's rows on their own,
+and a fold's training gram is the all-rows sums less the fold's. Maps
 are averaged entrywise and compared by the spectral norm of their
 coefficient difference, after zero-padding sieve matrices of different
 truncation in the shared deterministic index ordering. Imputation
@@ -31,10 +33,9 @@ import numpy as np
 from .core import (ConfigError, ConvergenceError, DimensionError,
                    IncompatibleError, InvalidValueError, SupportError,
                    _require_finite)
-from .penalized_reg import (LassoSettings, _block_sums, _cv_select, _folds,
+from .penalized_reg import (LassoSettings, _block_sums, _cv_pick, _folds,
                             _Gram, _nested_lstsq, _prox_grad_columns,
-                            _row_blocks, _widened, default_grid,
-                            null_threshold)
+                            _row_blocks, _widened, default_grid)
 from .sieve_basis import BasisIndexSet, _check_input, expand
 
 # the name each variant gives its coefficient matrix
@@ -73,11 +74,7 @@ class FeatureMapModel:
             raise DimensionError(
                 f"Theta must have {len(basis)} rows, got {coef.shape}")
         elif x_scale is not None:
-            x_scale = np.asarray(x_scale, dtype=float)
-            if x_scale.shape != (basis.p1,):
-                raise DimensionError(f"x_scale must have length {basis.p1}")
-            if np.any(x_scale <= 0):
-                raise InvalidValueError("x_scale must be positive")
+            x_scale = _check_x_scale(x_scale, basis.p1)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "basis", basis)
@@ -159,22 +156,31 @@ def fit_linear_map(proxy, tau=0.0):
 
 
 def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
-                  x_scale=None, cv_folds=5, cv_seed=0):
+                  x_scale=None, cv_folds=5, cv_seed=0, ladder=False):
     """Penalized basis-expansion fit of each Z column on the expanded X.
 
     gamma may be a nonnegative number, "auto" for
     c_gamma * sqrt(log M / n), or "cv" for per-column cross-validation
-    over cv_folds folds drawn with cv_seed. x_scale rescales X
-    coordinatewise before expansion (entries of X / x_scale must lie
-    within the basis support).
+    over cv_folds folds drawn with cv_seed. x_scale, p1 positive entries,
+    rescales X coordinatewise before expansion (entries of X / x_scale
+    must lie within the basis support); both are checked before any fit.
+    With ladder=True, basis is the cap of the hold-out ladder, which
+    picks its leading block: each rung of _ladder(len(basis)) is fit on
+    the rows outside fold 0 at gamma ("auto" for "cv") and scored by its
+    mean squared error on fold 0, until a rung does not improve on the
+    last, which is taken.
 
     All columns run in one FISTA solve on the M x M gram of the expansion
-    (8 M^2 bytes). The gram is accumulated from the expansion of one
-    block of 512 rows of X at a time, so the fit holds the gram and one
-    block, never the n x M expansion; "cv" alone expands every row, for
-    its folds. Each fold builds one gram of its training rows with every
-    z column as a response, and solves each column's grid in one solve on
-    it. A column with gamma > 0 stops at a duality gap of
+    (8 M^2 bytes), read off unnormalized sums that _block_sums adds up a
+    block of 512 rows at a time, so no n x M expansion is held. The
+    ladder grows one set of training sums, each rung bordering the last
+    rung's with its new columns, and the picked rung's plus the held-out
+    rows' sums are the all-rows sums; without it those run over every row
+    in order. gamma="cv" sums each fold's rows: fold f's training gram is
+    the all-rows sums less fold f's (after the ladder, fold 0's are the
+    ladder's), each column's grid, from the all-rows null threshold down,
+    runs as the columns of one solve on its column of that gram, and
+    _cv_pick picks. A column with gamma > 0 stops at a duality gap of
     1e-10 of its objective at zero, ||z_j||^2 / n; one with gamma = 0
     (least squares) once its gradient is within settings.tol in every
     coordinate, the only use of tol here. A column open after
@@ -182,30 +188,41 @@ def fit_sieve_map(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
     """
     if proxy.z is None:
         raise IncompatibleError("proxy dataset has no mismatched block z")
-    X, Z = proxy.x, proxy.z
-    if x_scale is not None:
-        x_scale = np.asarray(x_scale, dtype=float)
-        X = X / x_scale
     # checked whole, so that an error names its row in X, not in a block
-    X = _check_input(X, basis)
-    n, M = X.shape[0], len(basis)
-    design = _expansion_blocks(X, basis)
-    if settings is None:
-        settings = LassoSettings()
-    if gamma == "cv":
-        # the folds take rows from the whole expansion, so it is built
-        design = Psi = expand(X, basis)
-        grids = [default_grid(null_threshold(Psi, z)) for z in Z.T.copy()]
-        # one gram per fold serves every z column, and FISTA runs each
-        # column's grid as columns of one solve on it: on these wide,
-        # well-conditioned designs it picked the trace's gamma about 7x
-        # faster at fig5 scale (M = 1261, one z column, one BLAS thread)
-        picks = _cv_select(Psi, Z, np.zeros(M), grids, cv_folds, cv_seed,
-                           settings, _prox_grad_columns)
-        gammas = np.array([lam for lam, _ in picks])
+    X = _check_input(proxy.x if x_scale is None
+                     else proxy.x / _check_x_scale(x_scale, basis.p1), basis)
+    Z, settings = proxy.z, settings or LassoSettings()
+    rungs = _ladder(len(basis)) if ladder else [len(basis)]
+    folds = _folds(proxy.n, cv_folds, cv_seed) \
+        if gamma == "cv" or len(rungs) > 1 else None
+    train = None
+    if len(rungs) > 1:
+        basis, A, b = _ladder_sums(X, Z, basis, rungs, folds[0], gamma,
+                                   c_gamma, settings)
+        if gamma == "cv":
+            train = A.copy(), b.copy()
+        # the held-out rows' sums complete the all-rows sums
+        _block_sums(_expansion_blocks(X[folds[0]], basis), Z[folds[0]], A, b)
     else:
-        gammas = _gammas(gamma, c_gamma, M, n, Z.shape[1])
-    return _solved(_Gram(design, Z), basis, gammas, settings, x_scale)
+        A, b, _ = _block_sums(_expansion_blocks(X, basis), Z)
+    if gamma == "cv":
+        gammas = _cv_gammas(X, Z, basis, A, b, folds, train, settings)
+    else:
+        gammas = _gammas(gamma, c_gamma, len(basis), proxy.n, Z.shape[1])
+    Theta = _fit(_Gram.from_sums(A, b, Z, in_place=True), gammas, settings)
+    return FeatureMapModel("sieve", basis=basis, Theta=Theta,
+                           x_scale=x_scale)
+
+
+def _check_x_scale(x_scale, p1):
+    """x_scale as a float vector, once it has p1 finite positive entries."""
+    x_scale = np.asarray(x_scale, dtype=float)
+    if x_scale.shape != (p1,):
+        raise DimensionError(f"x_scale must have length {p1}")
+    _require_finite(x_scale, "x_scale")
+    if np.any(x_scale <= 0):
+        raise InvalidValueError("x_scale must be positive")
+    return x_scale
 
 
 def _expansion_blocks(X, basis):
@@ -222,8 +239,8 @@ def _gammas(gamma, c_gamma, M, n, p2):
     return np.full(p2, float(gamma))
 
 
-def _solved(G, basis, gammas, settings, x_scale):
-    """The sieve map at basis fit on its gram G, column j at gammas[j]."""
+def _fit(G, gammas, settings):
+    """The sieve coefficients fit on the gram G, column j at gammas[j]."""
     # the z columns share the design, so one matrix solve fits them all
     Theta, iters, converged = _prox_grad_columns(G, gammas, settings)
     if not converged.all():
@@ -231,8 +248,7 @@ def _solved(G, basis, gammas, settings, x_scale):
         raise ConvergenceError(
             f"sieve fit did not converge for z column {j + 1} "
             f"after {iters} iterations")
-    return FeatureMapModel("sieve", basis=basis, Theta=Theta,
-                           x_scale=x_scale)
+    return Theta
 
 
 _FIRST_RUNG = 101  # the smallest truncation the hold-out ladder scores
@@ -259,86 +275,60 @@ def _leading(basis, M):
 def _rung_error(G, X_held, Z_held, basis, gammas, settings):
     """Held-out mean squared error, over every z column, of the sieve map
     at basis fit on the training gram G."""
-    model = _solved(G, basis, gammas, settings, None)
-    return float(np.mean((impute(model, X_held) - Z_held) ** 2))
+    Theta = _fit(G, gammas, settings)
+    return float(np.mean((_predicted(X_held, basis, Theta) - Z_held) ** 2))
 
 
-def _held_out_truncation(proxy, basis, gamma="auto", settings=None,
-                         c_gamma=1.0, x_scale=None, cv_folds=5, cv_seed=0):
-    """The leading block of basis whose size a hold-out ladder picks, and
-    its gram on all the proxy's rows (None for gamma="cv").
-
-    Fold 0 of the cv_folds folds drawn with cv_seed (the folds gamma="cv"
-    draws) is held out. Each rung M of _ladder(len(basis)) is fit on the
-    other rows at gamma, or at "auto" for gamma="cv"
-    (c_gamma * sqrt(log M / n_train)), and scored by its held-out mean
-    squared error over all z columns. The ladder stops at the first rung
-    whose error is not below the previous rung's and returns the previous
-    rung. A basis of at most 101 functions is returned as it is, with no
-    fit and no gram.
-
-    The rungs are nested, so one set of training sums grows from rung to
-    rung: each rung borders the sums of the rung m before it, expanding
-    the training rows at its M block by block and adding only the
-    products with a column past m. The picked rung's sums are the leading
-    block of the last rung's, and the held-out rows' sums at the picked
-    rung complete its all-rows gram. The ladder holds the growing sums
-    (and the last rung's while it widens them), one rung's gram and one
-    expansion block, never an n x M expansion.
-    """
-    rungs = _ladder(len(basis))
-    if len(rungs) == 1:
-        return basis, None
-    if settings is None:
-        settings = LassoSettings()
-    X = proxy.x if x_scale is None else proxy.x / x_scale
-    # checked whole, so that an error names its row in X, not in a fold
-    X = _check_input(X, basis)
-    held = _folds(proxy.n, cv_folds, cv_seed)[0]
-    rows = np.ones(proxy.n, dtype=bool)
-    rows[held] = False
-    X_train, Z_train = X[rows], proxy.z[rows]
-    X_held, Z_held = X[held], proxy.z[held]
+def _ladder_sums(X, Z, basis, rungs, held, gamma, c_gamma, settings):
+    """The leading block of basis that the hold-out ladder over rungs
+    picks with the rows held out, and its sums (A, b) over the other rows,
+    copied out of the last rung's (see fit_sieve_map)."""
+    X_train, Z_train = np.delete(X, held, 0), np.delete(Z, held, 0)
+    X_held, Z_held = X[held], Z[held]
     score = "auto" if gamma == "cv" else gamma
-    A, b = np.zeros((0, 0)), np.zeros((0, Z_train.shape[1]))
+    A, b = np.zeros((0, 0)), np.zeros((0, Z.shape[1]))
     best = best_err = None
     for M in rungs:
         rung = _leading(basis, M)
         start = len(A)
         A, b = _widened(A, b, M)
         _block_sums(_expansion_blocks(X_train, rung), Z_train, A, b, start)
-        gammas = _gammas(score, c_gamma, M, len(Z_train), Z_train.shape[1])
+        gammas = _gammas(score, c_gamma, M, len(Z_train), Z.shape[1])
         err = _rung_error(_Gram.from_sums(A, b, Z_train), X_held, Z_held,
                           rung, gammas, settings)
         if best is not None and not err < best_err:
             break
         best, best_err = rung, err
-    if gamma == "cv":
-        return best, None
-    # the held-out rows join the picked rung's training sums, the leading
-    # block of the last rung's, which are not read again
     m = len(best)
-    A, b = A[:m, :m], b[:m]
-    _block_sums(_expansion_blocks(X_held, best), Z_held, A, b)
-    return best, _Gram.from_sums(A, b, proxy.z)
+    return best, A[:m, :m].copy(), b[:m].copy()
 
 
-def _fit_held_out(proxy, basis, gamma="auto", settings=None, c_gamma=1.0,
-                  x_scale=None, cv_folds=5, cv_seed=0):
-    """fit_sieve_map at the leading block of basis that
-    _held_out_truncation picks, solved on the all-rows gram the ladder
-    leaves; gamma="cv" and a basis of at most 101 functions are fit by
-    fit_sieve_map itself."""
-    if settings is None:
-        settings = LassoSettings()
-    picked, G = _held_out_truncation(proxy, basis, gamma, settings, c_gamma,
-                                     x_scale, cv_folds, cv_seed)
-    if G is None:
-        return fit_sieve_map(proxy, picked, gamma, settings, c_gamma=c_gamma,
-                             x_scale=x_scale, cv_folds=cv_folds,
-                             cv_seed=cv_seed)
-    gammas = _gammas(gamma, c_gamma, len(picked), proxy.n, proxy.z.shape[1])
-    return _solved(G, picked, gammas, settings, x_scale)
+def _cv_gammas(X, Z, basis, A, b, folds, train, settings):
+    """Each z column's penalty by cross-validation over folds (see
+    fit_sieve_map), given the all-rows sums A and b and fold 0's
+    training sums train, or None."""
+    n = len(X)
+    grids = [default_grid(2.0 / n * np.max(np.abs(b_j))) for b_j in b.T]
+    errs = [np.zeros((grid.size, len(folds))) for grid in grids]
+    for f, held in enumerate(folds):
+        if f == 0 and train is not None:
+            A_train, b_train = train
+        else:
+            # the training sums overwrite the fold's own
+            A_train, b_train, _ = _block_sums(
+                _expansion_blocks(X[held], basis), Z[held])
+            np.subtract(A, A_train, out=A_train)
+            np.subtract(b, b_train, out=b_train)
+        G = _Gram.from_sums(A_train, b_train, np.delete(Z, held, 0),
+                            in_place=True)
+        X_held, Z_held = X[held], Z[held]
+        for j, grid in enumerate(grids):
+            Delta, _, _ = _prox_grad_columns(G.column(j), grid, settings)
+            preds = _predicted(X_held, basis, Delta)
+            errs[j][:, f] = np.mean(np.abs(preds - Z_held[:, j, None]),
+                                    axis=0)
+    return np.array([_cv_pick(grid, err)[0]
+                     for grid, err in zip(grids, errs)])
 
 
 _FRAME_PARTS = ("variant", "input dimension", "output dimension",
@@ -401,11 +391,16 @@ def impute(map_model, X, clamp_tol=0.0):
     _require_finite(X, "X")
     if map_model.basis is None:
         return X @ map_model.coef
-    # expand and multiply in row blocks: no n x M expansion is held
     X = _within_support(map_model, X, clamp_tol)
-    out = np.empty((X.shape[0], map_model.p2))
+    return _predicted(X, map_model.basis, map_model.coef)
+
+
+def _predicted(X, basis, coef):
+    """expand(X, basis) @ coef, expanded and multiplied in row blocks:
+    no n x M expansion is held."""
+    out = np.empty((X.shape[0], coef.shape[1]))
     for rows in _row_blocks(X.shape[0]):
-        out[rows] = expand(X[rows], map_model.basis) @ map_model.coef
+        out[rows] = expand(X[rows], basis) @ coef
     return out
 
 

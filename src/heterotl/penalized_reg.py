@@ -15,7 +15,9 @@ It is summed over row blocks of the design, which a caller may hand over
 one at a time: the sieve map fit streams its basis expansion that way,
 so it never holds the n x M design. The same block sums grow by columns
 (a bordered gram) and by rows, which the sieve's hold-out ladder uses to
-build one gram per proxy across its rungs and its final fit.
+build one gram per proxy across its rungs and its final fit, and shrink
+by rows: a sieve cross-validation fold's are the all-rows sums less its
+own.
 
 The solver is chosen by stage, not by width. Every single-response solve
 (the target stage: one penalty, a warm start or a cross-validation grid)
@@ -40,9 +42,10 @@ P(delta): at small lam on ill-conditioned designs exact optima sit near
 1e-10 of the primal in floating point. A zero penalty is certified by a
 gradient within settings.tol instead.
 
-Cross-validation builds one gram per fold; a sieve fold's gram carries
-every z column as a response, and each column's grid is solved on its
-own column of it. The unpenalized proxy fits (a linear map, and the
+Cross-validation solves each fold's grid on one gram of its training
+rows, and one rule, _cv_pick, picks for both stages; a sieve fold's gram
+carries every z column as a response, and each column's grid is solved
+on its own column of it. The unpenalized proxy fits (a linear map, and the
 reference coefficients on [X | Z] and on X) are read off one Householder
 factor of the proxy's [X | Z | y], with lstsq kept for the designs that
 factor cannot vouch for.
@@ -266,9 +269,8 @@ class _Gram:
     array is read in blocks of _BLOCK_ROWS rows. The sums are
     _block_sums's: a design of at most _BLOCK_ROWS rows gives D'D bit for
     bit, and a longer one is summed on and above the diagonal and mirrored
-    once at the end. A sieve fit streams its basis expansion this way and
-    never holds the n x M design; its hold-out ladder grows the sums
-    itself and reads them through from_sums."""
+    once at the end. A sieve fit sums its basis expansion itself, a row
+    block at a time, and reads its grams through from_sums."""
 
     def __init__(self, D, R):
         n = R.shape[0]
@@ -282,14 +284,16 @@ class _Gram:
         self._normalized(A, b, R)
 
     @classmethod
-    def from_sums(cls, A, b, R):
+    def from_sums(cls, A, b, R, in_place=False):
         """The gram of the sums A (on and above the diagonal) and b that
-        _block_sums gave over the rows of R, which are left as they are."""
+        _block_sums gave over the rows of R; in_place=True normalizes the
+        sums in place into the gram's own, else they are left as they are."""
         G = object.__new__(cls)
         n = R.shape[0]
-        A = A / n
+        A = np.divide(A, n, out=A if in_place else None)
+        b = np.divide(b, n, out=b if in_place else None)
         _mirror_upper(A)
-        G._normalized(A, b / n, R)
+        G._normalized(A, b, R)
         return G
 
     def _normalized(self, A, b, R):
@@ -808,18 +812,32 @@ def cv_lambda(D, y, omega_hat, folds=5, grid=None, seed=0, settings=None):
     whole grid on it in one _lasso_path call, at any width: one exact path
     trace, certified at every point, with feature-sign finishing any point
     it leaves uncertified (a point still uncertified is used as it
-    stands). Ties in the mean error go to the larger lam (more shrinkage
-    toward omega_hat). omega_hat must have one entry per column of D.
-    Returns (best_lam, path) where path is a (L, 2) array of (lam, mean
-    held-out error) rows over the deduplicated descending grid.
+    stands). The pick is _cv_pick's. omega_hat must have one entry per
+    column of D. Returns (best_lam, path) where path is a (L, 2) array of
+    (lam, mean held-out error) rows over the deduplicated descending grid.
     """
     D, y = _check_design(D, y, "D", "y")
     omega_hat = _check_offset(D, omega_hat)
     if grid is None:
         grid = default_grid(null_threshold(D, y - D @ omega_hat))
-    (best, path), = _cv_select(D, y, omega_hat, [grid], folds, seed,
-                               settings or LassoSettings(), _lasso_path)
-    return best, path
+    n = D.shape[0]
+    blocks = _folds(n, folds, seed)
+    grid = np.unique(np.asarray(grid, dtype=float))[::-1]
+    if grid.size == 0:
+        raise ConfigError("lambda grid is empty")
+    if not (np.isfinite(grid).all() and grid.min() >= 0):
+        raise ConfigError("lambda grid must be finite and nonnegative")
+    settings = settings or LassoSettings()
+    errs = np.zeros((grid.size, folds))
+    for f, val_idx in enumerate(blocks):
+        mask = np.ones(n, dtype=bool)
+        mask[val_idx] = False
+        D_tr, D_val = D[mask], D[val_idx]
+        Delta, _, _ = _lasso_path(_Gram(D_tr, y[mask] - D_tr @ omega_hat),
+                                  grid, settings)
+        preds = D_val @ (omega_hat[:, None] + Delta)
+        errs[:, f] = np.mean(np.abs(preds - y[val_idx, None]), axis=0)
+    return _cv_pick(grid, errs)
 
 
 def _folds(n, folds, seed):
@@ -832,35 +850,11 @@ def _folds(n, folds, seed):
     return np.array_split(np.random.default_rng(seed).permutation(n), folds)
 
 
-def _cv_select(D, Y, omega_hat, grids, folds, seed, settings, path):
-    """cv_lambda's (best_lam, path) for each response: Y is one response,
-    with grids holding its grid, or an (n, m) matrix whose column j has
-    grid grids[j], all offset by omega_hat. Each fold builds one _Gram of
-    its training rows with every response and solves each response's
-    grid on that response's column of it (_Gram.column) by path."""
-    n = D.shape[0]
-    blocks = _folds(n, folds, seed)
-    grids = [np.unique(np.asarray(g, dtype=float))[::-1] for g in grids]
-    for grid in grids:
-        if grid.size == 0:
-            raise ConfigError("lambda grid is empty")
-        if not (np.isfinite(grid).all() and grid.min() >= 0):
-            raise ConfigError("lambda grid must be finite and nonnegative")
-    errs = [np.zeros((grid.size, folds)) for grid in grids]
-    for f, val_idx in enumerate(blocks):
-        mask = np.ones(n, dtype=bool)
-        mask[val_idx] = False
-        D_tr, D_val = D[mask], D[val_idx]
-        # the offset comes off each response (each column of a matrix Y)
-        G = _Gram(D_tr, (Y[mask].T - D_tr @ omega_hat).T)
-        Y_val = Y[val_idx].reshape(val_idx.size, -1)
-        for j, grid in enumerate(grids):
-            Delta, _, _ = path(G.column(j), grid, settings)
-            preds = D_val @ (omega_hat[:, None] + Delta)
-            errs[j][:, f] = np.mean(np.abs(preds - Y_val[:, j, None]), axis=0)
-    picks = []
-    for grid, err in zip(grids, errs):
-        mean_errs = err.mean(axis=1)
-        best = int(np.argmin(mean_errs))  # first hit is the largest lam
-        picks.append((float(grid[best]), np.column_stack([grid, mean_errs])))
-    return picks
+def _cv_pick(grid, errs):
+    """The cross-validation pick of every solver: the penalty of the
+    descending grid with the lowest mean of its row of errs (held-out
+    mean absolute errors, one column per fold), ties to the larger
+    penalty, and the (L, 2) path of (lam, mean error) rows."""
+    mean_errs = errs.mean(axis=1)
+    best = int(np.argmin(mean_errs))  # first hit is the largest lam
+    return float(grid[best]), np.column_stack([grid, mean_errs])

@@ -21,8 +21,8 @@ factors into the basis columns that use it: a column's first factor is
 assigned and a later one multiplied in, and a degree whose columns are one
 run over consecutive coordinates (each degree at p1_prime = 1) is written
 as one slice. The result is an (n, M) Fortran-ordered array (the transpose
-of the (M, n) buffer it fills). unravel is memoised, since its sets are
-immutable.
+of the (M, n) buffer it fills). Sets are immutable, so unravel is
+memoised and a set keeps its plan of factors for every later block.
 """
 
 from functools import lru_cache
@@ -94,7 +94,8 @@ def _enumerate_up_to(p1, p1_prime, d_cap, w):
 class BasisIndexSet:
     """An ordered, truncated set of tensor-product multi-indices."""
 
-    __slots__ = ("p1", "p1_prime", "a", "d_cap", "multi_indices", "_orders")
+    __slots__ = ("p1", "p1_prime", "a", "d_cap", "multi_indices", "_orders",
+                 "_plan")
 
     def __init__(self, p1, p1_prime, a, multi_indices, d_cap=64):
         self._set(p1, p1_prime, a, d_cap,
@@ -113,7 +114,7 @@ class BasisIndexSet:
         for name, value in (("p1", int(p1)), ("p1_prime", int(p1_prime)),
                             ("a", float(a)), ("d_cap", int(d_cap)),
                             ("multi_indices", multi_indices),
-                            ("_orders", orders)):
+                            ("_orders", orders), ("_plan", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -135,6 +136,13 @@ class BasisIndexSet:
             orders.flags.writeable = False
             object.__setattr__(self, "_orders", orders)
         return self._orders
+
+    @property
+    def plan(self):
+        """expand's _factor_plan of the orders, built on first use."""
+        if self._plan is None:
+            object.__setattr__(self, "_plan", _factor_plan(self.orders))
+        return self._plan
 
     def to_dict(self):
         return {"p1": self.p1, "p1_prime": self.p1_prime, "a": self.a,
@@ -185,7 +193,7 @@ def default_truncation(p, n_p, budget=None, p1_prime=1, d_cap=64):
     A given budget pins the sieve fit's M to this value. Without one,
     budget is floor(n_p / 2) and the result is only the cap of the
     held-out ladder that picks M from the proxy rows (the ladder's last
-    rung; feature_map._held_out_truncation).
+    rung; feature_map.fit_sieve_map with ladder=True).
     """
     if p < 1 or n_p < 1:
         raise ConfigError("p and n_p must be >= 1")
@@ -235,7 +243,7 @@ def expand(X, basis):
     e = np.exp(1j * np.pi / (2.0 * a) * (X.T + a))
     power = np.ones_like(e)
     out[basis.orders.max(axis=1, initial=1) == 1] = 1.0  # no factor
-    for groups in _factor_plan(basis.orders):
+    for groups in basis.plan:
         power *= e
         for rows, coords, first in groups:
             if first and isinstance(rows, slice):

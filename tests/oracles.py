@@ -5,7 +5,8 @@ enumeration, dense SVD, trapezoid quadrature, and a projected-gradient
 solver. The package must agree with these, never the other way around.
 The last section keeps earlier, plainer forms of three sieve kernels (the
 FISTA loop, its stop test and the basis expansion), which the package's
-leaner forms must match to the bit.
+leaner forms must match to the bit, and the sieve's earlier per-fold
+cross-validation loop, whose picks the package's must match.
 """
 
 import itertools
@@ -289,3 +290,29 @@ def expand_by_masks(X, basis):
             sel = (degrees == d) & (slots == s)
             out[rows[sel]] *= factor[coords[sel]]
     return out.T
+
+
+def sieve_cv_picks(Psi, Z, grids, folds, seed, settings):
+    """The penalty of each z column that the sieve's gamma="cv" picks, by
+    its earlier per-fold loop on the whole expansion Psi: each fold's
+    training gram built from scratch on its training rows, each column's
+    descending grid solved by penalized_reg._prox_grad_columns on its
+    column of that gram, and the grid point of lowest mean held-out
+    absolute error taken, the first (largest) of a tie."""
+    n = Psi.shape[0]
+    errs = [np.zeros((len(grid), folds)) for grid in grids]
+    for f, held in enumerate(pr._folds(n, folds, seed)):
+        train = np.setdiff1d(np.arange(n), held)
+        G = pr._Gram(Psi[train], Z[train])
+        for j, grid in enumerate(grids):
+            Delta, _, _ = pr._prox_grad_columns(G.column(j), grid, settings)
+            errs[j][:, f] = np.mean(
+                np.abs(Psi[held] @ Delta - Z[held, j, None]), axis=0)
+    picks = []
+    for grid, err in zip(grids, errs):
+        best = 0
+        for i in range(1, len(grid)):
+            if err[i].mean() < err[best].mean():
+                best = i
+        picks.append(float(grid[best]))
+    return np.array(picks)

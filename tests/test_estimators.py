@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heterotl import feature_map, penalized_reg
+from heterotl import estimators, feature_map, penalized_reg
 from heterotl.core import (Dataset, DimensionError, IncompatibleError,
                            InvalidValueError, SupportError, TLFit,
                            mean_absolute_prediction_error)
@@ -22,7 +22,7 @@ from heterotl.penalized_reg import (_RANK_MARGIN, LassoSettings,
                                     lasso_with_offset, null_threshold)
 from heterotl.sieve_basis import expand, unravel
 from heterotl.simulation import gen_linear_scenario
-from oracles import ols
+from oracles import ols, sieve_cv_picks
 
 
 def _linear_world(seed, K=2, n_p=400, n_t=50, p1=4, p2=3, delta_scale=1.0,
@@ -308,8 +308,8 @@ def _sieve_world(seed, K=2, n_p=400, p1=5):
 
 
 def _spy_grams(monkeypatch):
-    """How ("built" from a design, or "grown" by the hold-out ladder) and
-    on how many rows every sieve gram from now on is made."""
+    """How ("built" from a design, or "summed" from _block_sums's sums)
+    and on how many rows every sieve gram from now on is made."""
     rows = []
 
     class Spy(penalized_reg._Gram):
@@ -318,9 +318,9 @@ def _spy_grams(monkeypatch):
             super().__init__(D, R)
 
         @classmethod
-        def from_sums(cls, A, b, R):
-            rows.append(("grown", R.shape[0]))
-            return super().from_sums(A, b, R)
+        def from_sums(cls, A, b, R, **kw):
+            rows.append(("summed", R.shape[0]))
+            return super().from_sums(A, b, R, **kw)
 
     monkeypatch.setattr(feature_map, "_Gram", Spy)
     return rows
@@ -341,7 +341,7 @@ def test_sieve_budget_pins_m_with_no_hold_out(monkeypatch):
     rows = _spy_grams(monkeypatch)
     model = fit_htl(proxies, target, map_kind="sieve", lam=0.2, budget=60)
     # one gram per proxy, on all its rows
-    assert rows == [("built", 400)] * 2
+    assert rows == [("summed", 400)] * 2
     assert np.array_equal(model.map.Theta,
                           _direct_sieve_theta(proxies, model, 60))
 
@@ -351,7 +351,7 @@ def test_sieve_cap_of_101_or_less_is_fit_directly(monkeypatch):
     proxies, target = _sieve_world(41, n_p=200)
     rows = _spy_grams(monkeypatch)
     model = fit_htl(proxies, target, map_kind="sieve", lam=0.2)
-    assert rows == [("built", 200)] * 2
+    assert rows == [("summed", 200)] * 2
     assert np.array_equal(model.map.Theta,
                           _direct_sieve_theta(proxies, model, 100))
 
@@ -363,14 +363,13 @@ def test_sieve_default_truncation_is_picked_on_held_out_rows(monkeypatch):
     # per proxy: rungs 101 and 125 grown on the 320 rows outside fold 0,
     # then the picked rung's gram grown by the held-out rows to all 400;
     # no gram is built from scratch
-    assert rows == [("grown", 320), ("grown", 320), ("grown", 400)] * 2
+    assert rows == [("summed", 320), ("summed", 320), ("summed", 400)] * 2
     again = fit_htl(proxies, target, map_kind="sieve", lam=0.2, cv_seed=3)
     assert np.array_equal(model.map.Theta, again.map.Theta)
     assert model.map.basis.to_dict() == again.map.basis.to_dict()
     x_scale = model.map.x_scale
-    fits = [feature_map._fit_held_out(pr, unravel(5, 1, 125),
-                                      x_scale=x_scale, cv_seed=3)
-            for pr in proxies]
+    fits = [fit_sieve_map(pr, unravel(5, 1, 125), x_scale=x_scale,
+                          cv_seed=3, ladder=True) for pr in proxies]
     # the proxy with the high-frequency term needs the larger basis, and
     # the other proxy's smaller fit is zero-padded into the average
     picked = [len(f.basis) for f in fits]
@@ -393,19 +392,55 @@ def test_sieve_default_truncation_is_picked_on_held_out_rows(monkeypatch):
                                         G.c, gammas, settings.tol).all()
 
 
+def test_default_sieve_fit_enters_fit_sieve_map_once_per_proxy(
+        monkeypatch):
+    # every sieve map, the held-out ladder's included, is fit by the one
+    # public routine, so a span around it sees the whole sieve stage
+    proxies, target = _sieve_world(44)
+    calls = []
+
+    def spy(proxy, basis, *args, **kw):
+        calls.append((proxy, len(basis), kw["ladder"]))
+        return fit_sieve_map(proxy, basis, *args, **kw)
+
+    monkeypatch.setattr(feature_map, "fit_sieve_map", spy)
+    monkeypatch.setattr(estimators, "fit_sieve_map", spy)
+    fit_htl(proxies, target, map_kind="sieve", lam=0.2)
+    assert [(pr, 125, True) for pr in proxies] == calls
+
+
 def test_sieve_cv_gamma_runs_once_per_proxy_at_the_picked_m(monkeypatch):
+    # per proxy the ladder scores rungs 101 and 125 at "auto" on the 266
+    # rows outside fold 0, then cross-validates gamma once at the picked
+    # rung: fold 0 on the ladder's training sums, folds 1 and 2 on the
+    # all-rows sums less their own, picking what the earlier per-fold
+    # loop picks on the whole expansion
     proxies, target = _sieve_world(43)
-    picks, cv_select = [], feature_map._cv_select
+    rows = _spy_grams(monkeypatch)
+    solves, prox_grad = [], penalized_reg._prox_grad_columns
 
-    def spy(D, *args):
-        picks.append(D.shape[1])
-        return cv_select(D, *args)
+    def solve(G, lams, settings):
+        solves.append((G.w.size, G.b.ndim, np.array(lams)))
+        return prox_grad(G, lams, settings)
 
-    monkeypatch.setattr(feature_map, "_cv_select", spy)
+    monkeypatch.setattr(feature_map, "_prox_grad_columns", solve)
     model = fit_htl(proxies, target, map_kind="sieve", lam=0.2, gamma="cv",
                     cv_folds=3)
-    assert picks == [101, 125]
+    assert rows == [("summed", 266)] * 3 + [("summed", 267)] * 2 \
+        + [("summed", 400)] + [("summed", 266)] * 3 \
+        + [("summed", 267)] * 2 + [("summed", 400)]
+    # per proxy: two rung solves, one solve per fold and z column at
+    # the picked M, and the map
+    assert [s[:2] for s in solves] == \
+        [(101, 2), (125, 2)] + [(101, 1)] * 6 + [(101, 2)] \
+        + [(101, 2), (125, 2)] + [(125, 1)] * 6 + [(125, 2)]
     assert len(model.map.basis) == 125
+    for pr, own in zip(proxies, (solves[:9], solves[9:])):
+        grids = [lams for _, _, lams in own[2:4]]
+        M = own[-1][0]
+        Psi = expand(pr.x / model.map.x_scale, unravel(5, 1, M))
+        assert np.array_equal(own[-1][2], sieve_cv_picks(
+            Psi, pr.z, grids, 3, 0, LassoSettings()))
 
 
 def test_htl_beats_homogeneous_on_toy_scenario():

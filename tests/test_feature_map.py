@@ -13,11 +13,12 @@ from heterotl.feature_map import (FeatureMapModel, average_maps,
                                   fit_linear_map, fit_sieve_map, impute,
                                   map_discrepancy)
 from heterotl.estimators import _fit_maps
-from heterotl.penalized_reg import (LassoSettings, _cv_select, _folds,
+from heterotl.penalized_reg import (LassoSettings, _folds,
                                     _prox_grad_columns, default_grid,
                                     null_threshold, objective)
 from heterotl.sieve_basis import expand, unravel
-from oracles import padded_average, pg_lasso, spectral_norm_svd
+from oracles import (padded_average, pg_lasso, sieve_cv_picks,
+                     spectral_norm_svd)
 
 
 def _linear_proxy(seed, n=500, p1=10, p2=5, noise=0.0):
@@ -167,40 +168,64 @@ def test_sieve_map_cv_gamma_runs(monkeypatch):
     assert np.all(np.isfinite(model.Theta))
 
 
+def _spy_solves(monkeypatch):
+    """(gram, penalties) of every sieve solve from now on; the last is the
+    map's."""
+    solves = []
+
+    def solve(G, lams, settings):
+        solves.append((G, np.array(lams)))
+        return _prox_grad_columns(G, lams, settings)
+
+    monkeypatch.setattr(feature_map, "_prox_grad_columns", solve)
+    return solves
+
+
+def _spy_grams(monkeypatch):
+    """How ("built" from a design, or "summed" from _block_sums's sums)
+    and on how many rows and responses every gram from now on is made."""
+    grams = []
+
+    class Spy(penalized_reg._Gram):
+        def __init__(self, D, R):
+            grams.append(("built", R.shape))
+            super().__init__(D, R)
+
+        @classmethod
+        def from_sums(cls, A, b, R, **kw):
+            grams.append(("summed", R.shape))
+            return super().from_sums(A, b, R, **kw)
+
+    monkeypatch.setattr(penalized_reg, "_Gram", Spy)
+    monkeypatch.setattr(feature_map, "_Gram", Spy)
+    return grams
+
+
 def test_sieve_map_cv_gamma_builds_one_gram_per_fold(monkeypatch):
     # every z column reads its fold gram off one gram of the fold's
-    # training rows, and picks the gamma that one single-column fold loop
-    # picks on the whole expansion
+    # training rows, the all-rows sums less the fold's own, and picks the
+    # gamma that the earlier per-fold loop picks on the whole expansion,
+    # with grids from the all-rows sums
     basis = unravel(2, 1, 12)
     proxy, _ = _sieve_proxy(25, 90, basis, p2=4)
     rng = np.random.default_rng(26)
     proxy = Dataset(proxy.x, proxy.y,
                     proxy.z + 0.3 * rng.standard_normal(proxy.z.shape))
-    grams, solves = [], []
-
-    class Spy(penalized_reg._Gram):
-        def __init__(self, *args):
-            grams.append(args[1].shape)
-            super().__init__(*args)
-
-    def solve(G, lams, settings):
-        solves.append(lams)
-        return _prox_grad_columns(G, lams, settings)
-
     with monkeypatch.context() as m:
-        m.setattr(penalized_reg, "_Gram", Spy)
-        m.setattr(feature_map, "_Gram", Spy)
-        m.setattr(feature_map, "_prox_grad_columns", solve)
+        grams, solves = _spy_grams(m), _spy_solves(m)
         fit_sieve_map(proxy, basis, gamma="cv", cv_folds=3, cv_seed=4)
-    assert grams == [(60, 4)] * 3 + [(90, 4)]
+    assert grams == [("summed", (60, 4))] * 3 + [("summed", (90, 4))]
+    # per fold one single-response solve per column, then the map
+    assert [(G.w.size, G.b.ndim) for G, _ in solves] == \
+        [(12, 1)] * 12 + [(12, 2)]
+    grids = [lams for _, lams in solves[:4]]
+    for k, (_, lams) in enumerate(solves[:-1]):
+        assert np.array_equal(lams, grids[k % 4])
     Psi = expand(proxy.x, basis)
-    per_column = []
-    for z in proxy.z.T:
-        grid = default_grid(null_threshold(Psi, z))
-        (best, _), = _cv_select(Psi, z, np.zeros(len(basis)), [grid], 3, 4,
-                                LassoSettings(), _prox_grad_columns)
-        per_column.append(best)
-    assert np.array_equal(solves[-1], per_column)
+    for grid, z in zip(grids, proxy.z.T):
+        assert _close(grid, default_grid(null_threshold(Psi, z)), 1e-13)
+    assert np.array_equal(solves[-1][1], sieve_cv_picks(
+        Psi, proxy.z, grids, 3, 4, LassoSettings()))
 
 
 def test_sieve_map_expands_one_block_at_a_time(monkeypatch):
@@ -275,6 +300,22 @@ def test_sieve_map_peak_memory_is_far_below_its_design(monkeypatch):
     assert peak <= 8 * (top * (top + 2 * B) + 4 * n * 20)
 
 
+def test_sieve_map_cv_gamma_peak_memory_is_far_below_its_design():
+    # gamma="cv" used to expand every row for its folds: 6000 x 201
+    # floats, a 9.6 MB design, with a 7.7 MB copy of its training rows
+    # per fold. It now holds the all-rows sums and one fold's, one block
+    # and a panel of its update, a fold's held-out predictions over a
+    # 50-point grid and a couple of copies of the n x 20 inputs
+    n, M, L = 6000, 201, 50
+    B = penalized_reg._BLOCK_ROWS
+    basis = unravel(20, 1, M)
+    proxy, _ = _sieve_proxy(25, n, basis)
+    model, peak = _peak_bytes(fit_sieve_map, proxy, basis, "cv")
+    assert model.Theta.shape == (M, 2)
+    assert peak <= 8 * (2 * M * M + 2 * B * M + n // 5 * L + 2 * n * 20)
+    assert peak <= n * M * 8 / 2
+
+
 def test_ladder_rungs_double_up_to_the_cap():
     assert feature_map._ladder(50) == [50]
     assert feature_map._ladder(101) == [101]
@@ -302,8 +343,8 @@ def _scripted_ladder(monkeypatch, errors):
 
     monkeypatch.setattr(feature_map, "_rung_error", script)
     proxy, _ = _sieve_proxy(30, 300, unravel(20, 1, 10))
-    picked, _ = feature_map._held_out_truncation(proxy, unravel(20, 1, 1261))
-    return scored, len(picked)
+    model = fit_sieve_map(proxy, unravel(20, 1, 1261), ladder=True)
+    return scored, len(model.basis)
 
 
 @pytest.mark.parametrize("errors, scored, picked", [
@@ -338,8 +379,10 @@ def test_ladder_fits_without_fold_zero_and_scores_on_it(monkeypatch):
         return rung_error(G, X_held, Z_held, basis, *args)
 
     monkeypatch.setattr(feature_map, "_rung_error", spy)
-    picked, G_all = feature_map._held_out_truncation(
-        proxy, basis, x_scale=x_scale, cv_folds=4, cv_seed=9)
+    solves = _spy_solves(monkeypatch)
+    model = fit_sieve_map(proxy, basis, x_scale=x_scale, cv_folds=4,
+                          cv_seed=9, ladder=True)
+    picked, G_all = model.basis, solves[-1][0]
     held = _folds(400, 4, 9)[0]
     rest = np.setdiff1d(np.arange(400), held)
     assert [len(c[3]) for c in calls] == [101, 125]
@@ -376,7 +419,9 @@ def test_ladder_grows_one_gram_over_every_rung(monkeypatch, errors,
         return errors[len(grams) - 1]
 
     monkeypatch.setattr(feature_map, "_rung_error", script)
-    rung, G_all = feature_map._held_out_truncation(proxy, basis)
+    solves = _spy_solves(monkeypatch)
+    rung = fit_sieve_map(proxy, basis, ladder=True).basis
+    (G_all, _), = solves
     assert [len(r) for _, r in grams] == [101, 201, 401]
     for G, r in grams:
         assert _gram_close(G, penalized_reg._Gram(expand(proxy.x[rest], r),
@@ -387,7 +432,7 @@ def test_ladder_grows_one_gram_over_every_rung(monkeypatch, errors,
 
 
 def test_ladder_never_expands_more_than_a_block(monkeypatch):
-    # every expansion the ladder and its final fit make, the rung fits'
+    # every expansion any sieve fit makes, the ladder's and the cv folds'
     # held-out scoring included, is one row block
     proxy, _ = _sieve_proxy(35, 1400, unravel(20, 1, 40))
     rows = []
@@ -397,12 +442,29 @@ def test_ladder_never_expands_more_than_a_block(monkeypatch):
         return expand(X, basis)
 
     monkeypatch.setattr(feature_map, "expand", spy)
-    model = feature_map._fit_held_out(proxy, unravel(20, 1, 401))
-    # per rung scored, the 1120 training rows in blocks of 512 and the
-    # 280 held-out rows; then the held-out rows once more at the pick
-    k = len(rows) // 4
-    assert k >= 2 and rows == [512, 512, 96, 280] * k + [280]
-    assert model.Theta.shape == (len(model.basis), 2)
+    for gamma, ladder in (("auto", True), ("cv", True), (0.01, False),
+                          ("cv", False)):
+        rows.clear()
+        model = fit_sieve_map(proxy, unravel(20, 1, 401), gamma,
+                              ladder=ladder)
+        # gamma="cv" last: per fold of 280 rows, their sums (but for fold
+        # 0 after the ladder, whose training sums the ladder leaves) and
+        # the scoring of each column's grid
+        folds = [280] * 15 if gamma == "cv" else []
+        if gamma == "cv" and ladder:
+            folds = folds[1:]
+        head = rows[:len(rows) - len(folds)]
+        assert rows[len(head):] == folds
+        if ladder:
+            # per rung scored, the 1120 training rows in blocks of 512 and
+            # the 280 held-out rows; then the held-out rows once more at
+            # the pick
+            k = len(head) // 4
+            assert k >= 2 and head == [512, 512, 96, 280] * k + [280]
+        else:
+            # the sums over all rows
+            assert head == [512, 512, 376]
+        assert model.Theta.shape == (len(model.basis), 2)
 
 
 def test_ladder_leaves_a_cap_of_101_unfit(monkeypatch):
@@ -413,8 +475,9 @@ def test_ladder_leaves_a_cap_of_101_unfit(monkeypatch):
     proxy, _ = _sieve_proxy(32, 300, unravel(20, 1, 10))
     for M in (10, 101):
         basis = unravel(20, 1, M)
-        picked, G = feature_map._held_out_truncation(proxy, basis)
-        assert picked is basis and G is None
+        model = fit_sieve_map(proxy, basis, ladder=True)
+        assert model.basis is basis
+        assert np.array_equal(model.Theta, fit_sieve_map(proxy, basis).Theta)
 
 
 def test_ladder_support_error_names_its_row_in_x():
@@ -423,8 +486,34 @@ def test_ladder_support_error_names_its_row_in_x():
     X = proxy.x.copy()
     X[257, 3] = 1.5
     with pytest.raises(SupportError, match=r"\(257, 3\)"):
-        feature_map._held_out_truncation(Dataset(X, proxy.y, proxy.z),
-                                         basis)
+        fit_sieve_map(Dataset(X, proxy.y, proxy.z), basis, ladder=True)
+
+
+@pytest.mark.parametrize("x_scale, error", [
+    (np.ones(3), DimensionError),
+    (np.ones(1), DimensionError),
+    (np.ones((1, 2)), DimensionError),
+    ([0.0, 1.0], InvalidValueError),
+    ([-1.0, 1.0], InvalidValueError),
+    ([np.nan, 1.0], InvalidValueError),
+    ([np.inf, 1.0], InvalidValueError),
+])
+def test_sieve_map_checks_x_scale_before_any_fit(monkeypatch, x_scale,
+                                                 error):
+    def refuse(*args):
+        raise AssertionError("a sieve map was fit with a bad x_scale")
+
+    monkeypatch.setattr(feature_map, "_prox_grad_columns", refuse)
+    proxy, _ = _sieve_proxy(36, 300, unravel(2, 1, 6))
+    for gamma, basis, ladder in (("auto", unravel(2, 1, 6), False),
+                                 ("cv", unravel(2, 1, 6), False),
+                                 ("auto", unravel(2, 2, 130), True)):
+        with pytest.raises(error, match="x_scale"):
+            fit_sieve_map(proxy, basis, gamma, x_scale=x_scale,
+                          ladder=ladder)
+    with pytest.raises(error, match="x_scale"):
+        FeatureMapModel("sieve", basis=unravel(2, 1, 6),
+                        Theta=np.zeros((6, 2)), x_scale=x_scale)
 
 
 def test_sieve_map_non_convergence_names_column():

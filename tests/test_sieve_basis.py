@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from heterotl import sieve_basis
 from heterotl.core import (CapacityError, ConfigError, DimensionError,
                            InvalidValueError, SupportError)
 from heterotl.sieve_basis import (BasisIndexSet, admissible_count,
@@ -189,6 +190,26 @@ def test_expand_any_index_order_matches_the_masked_products(p1_prime, M):
     basis = BasisIndexSet.from_dict(basis)
     X = np.random.default_rng(14).uniform(-1.0, 1.0, size=(37, basis.p1))
     assert np.array_equal(expand(X, basis), expand_by_masks(X, basis))
+
+
+@pytest.mark.parametrize("p1_prime, M", [(1, 150), (2, 203)])
+def test_expand_plans_a_set_once_for_all_its_blocks(monkeypatch, p1_prime,
+                                                    M):
+    # a fresh set (not unravel's memoised one) builds its factor plan on
+    # its first expansion and keeps it for every later block
+    plans, factor_plan = [], sieve_basis._factor_plan
+
+    def spy(orders):
+        plans.append(orders.shape)
+        return factor_plan(orders)
+
+    monkeypatch.setattr(sieve_basis, "_factor_plan", spy)
+    basis = BasisIndexSet.from_dict(unravel(20, p1_prime, M).to_dict())
+    X = np.random.default_rng(15).uniform(-1.0, 1.0, size=(90, 20))
+    blocks = [expand(X[i:i + 30], basis) for i in range(0, 90, 30)]
+    assert plans == [(M, 20)]
+    for i, block in zip(range(0, 90, 30), blocks):
+        assert np.array_equal(block, expand_by_masks(X[i:i + 30], basis))
 
 
 def test_unravel_is_memoised():
